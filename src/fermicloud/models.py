@@ -168,9 +168,11 @@ class _FullFdKernel:
         self._wscale = 2.0 / self.mu
 
     def R(self, z: float) -> float:
-        if z == 0.0:
-            return 0.0
         w = self._wscale * z
+        if w == 0.0:
+            # z = 0, or z so deep in the vacuum tail that w underflows: far
+            # below the window, where R(z) = z.
+            return z
         v = self._inner.inverse(w)
         return self._front * self._outer.value(v)
 

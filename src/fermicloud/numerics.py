@@ -2,9 +2,13 @@
 
 Three primitives live here: quadrature over ``[0, inf)`` with a caller-chosen
 split point, root finding on a monotone function with automatic bracket
-expansion, and adaptive Runge-Kutta integration with dense output.  They are
-thin, carefully-configured wrappers around the corresponding QUADPACK /
-Brent / Dormand-Prince routines in scipy.
+expansion, and adaptive Runge-Kutta integration with dense output.  The
+first two are thin, carefully-configured wrappers around QUADPACK and Brent's
+method in scipy.  The integrator is the Dormand-Prince 5(4) pair with
+Shampine's quartic dense output, stepped in plain Python floats: the states
+here have one or two components, where array arithmetic costs far more than
+the vector field.  Its tableau, initial-step heuristic, error norm and step
+controller are those of scipy's ``RK45``, so it takes the same steps.
 
 Every routine is a pure function of its inputs: no hidden state, no
 randomness, so repeated calls with identical arguments give bit-identical
@@ -15,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 __all__ = [
@@ -240,116 +245,301 @@ def find_root_monotone(
     return float(brentq(g, lo, hi, xtol=cfg.root_tol, rtol=rtol, maxiter=200))
 
 
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980), the same numbers as scipy's RK45.  The B and E weights of the second
+# stage are zero and are left out of the sums.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+)
+# Shampine's quartic dense output (Math. Comp. 46, 1986): the state at
+# t_old + x h is y_old + h (K^T P) (x, x^2, x^3, x^4), K the 7 stage slopes.
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+# Step controller of scipy's RK45.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
+_EPS = float(np.finfo(float).eps)
+
+# State magnitude at which the solution counts as escaped.
+_HUGE_STATE = 1e300
+
+
 class OdePath:
     """Dense solution of one ODE solve.
 
-    Holds the accepted step points and a piecewise interpolant of matching
-    order, evaluable anywhere between the endpoints.
+    Holds the accepted step points, the seven stage slopes of every step and
+    the solver counters.  The dense output is the quartic interpolant of each
+    step, evaluable anywhere between the endpoints.
+
+    Counters
+    --------
+    nfev : right-hand-side evaluations, ``2 + 6 * (n_accepted + n_rejected)``
+        (the initial slope and the initial-step probe, then six per attempt).
+    n_accepted : accepted steps, ``len(ts) - 1``.
+    n_rejected : step attempts rejected by the error control.
     """
 
-    def __init__(self, ts: np.ndarray, states: np.ndarray, interpolant):
-        self.ts = ts
-        self.states = states
-        self._interpolant = interpolant
-        self.t0 = float(ts[0])
-        self.t1 = float(ts[-1])
+    def __init__(self, ts, states, stages, nfev: int = 0, n_rejected: int = 0):
+        self.ts = np.array(ts, dtype=float)
+        self.states = np.array(states, dtype=float)
+        self._stages = stages
+        self.t0 = float(self.ts[0])
+        self.t1 = float(self.ts[-1])
+        self.nfev = nfev
+        self.n_accepted = len(self.ts) - 1
+        self.n_rejected = n_rejected
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """Interpolant coefficients K^T P of every step, shape (steps, dim, 4)."""
+        return np.einsum("mkn,kp->mnp", np.array(self._stages, dtype=float), _P)
 
     def __call__(self, t):
         """Evaluate the dense solution at scalar or array ``t``.
 
         Scalar ``t`` gives the state vector, array ``t`` an array of shape
-        ``(dim, len(t))``.
+        ``(dim, len(t))``.  A step point belongs to the step that ends there.
         """
         t_arr = np.asarray(t, dtype=float)
         lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
         slack = 1e-9 * max(1.0, hi - lo)
         if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
             raise DomainError(f"evaluation time outside [{lo!r}, {hi!r}]")
-        return self._interpolant(np.clip(t_arr, lo, hi))
+        tq = np.clip(t_arr, lo, hi).ravel()
+        last = self.n_accepted - 1
+        if self.t1 > self.t0:
+            seg = np.searchsorted(self.ts, tq, side="left") - 1
+        else:
+            seg = last + 1 - np.searchsorted(self.ts[::-1], tq, side="right")
+        seg = np.clip(seg, 0, last)
+        t_old = self.ts[seg]
+        h = self.ts[seg + 1] - t_old
+        x = (tq - t_old) / h
+        powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+        y = self.states[seg] + h[:, None] * np.einsum(
+            "knp,kp->kn", self._coeffs[seg], powers
+        )
+        return y.T.reshape(self.states.shape[1:] + t_arr.shape)
 
     @property
     def end_state(self) -> np.ndarray:
         return self.states[-1]
 
 
+def _initial_step(field, t0, y0, f0, t1, direction, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` for a fifth-order pair (one evaluation)."""
+    scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
+    root_n = len(y0) ** 0.5
+    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, scale))) / root_n
+    d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, scale))) / root_n
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    interval = abs(t1 - t0)
+    h0 = min(h0, interval)
+    f1 = field(t0 + h0 * direction, [v + h0 * direction * f for v, f in zip(y0, f0)])
+    d2 = math.sqrt(sum(((b - a) / s) ** 2 for a, b, s in zip(f0, f1, scale))) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _raise_at_crossing(events, active, t_old, t_new, y_old, y_new, step) -> None:
+    """Raise for the earliest sign change on one step's interpolant.
+
+    ``events[i]`` is the blow-up event when ``i == 0``; every other index is
+    a caller's stop event.
+    """
+    seg = OdePath([t_old, t_new], [y_old, y_new], [step])
+    roots = []
+    for i in active:
+        g = lambda s, ev=events[i]: ev(s, seg(s).tolist())
+        root = brentq(g, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+        roots.append((abs(root - t_old), i, root))
+    _, first, root = min(roots)
+    state = seg(root)
+    if first == 0:
+        raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, state)
+    raise PositivityError("terminal event fired during integration", root, state)
+
+
 def ode_integrate(
-    field: Callable[[float, np.ndarray], Sequence[float]],
+    field: Callable[[float, list[float]], Sequence[float]],
     t0: float,
     u0: Sequence[float],
     t1: float,
     cfg: NumericsConfig = DEFAULT_CONFIG,
     abs_tol: float | Sequence[float] | None = None,
-    stop_events: Sequence[Callable[[float, np.ndarray], float]] = (),
+    stop_events: Sequence[Callable[[float, list[float]], float]] = (),
 ) -> OdePath:
     """Integrate ``u' = field(t, u)`` from ``t0`` to ``t1`` (either direction).
 
-    Uses the Dormand-Prince 4(5) pair with proportional step control and
-    dense output.  ``abs_tol`` overrides the configured absolute tolerance
-    (may be per-component).  ``stop_events`` are terminal sign-crossing
-    events; if one fires a :class:`PositivityError` is raised with the
-    crossing location.
+    ``field`` is called once per evaluation with a float ``t`` and the state
+    as a list of floats, and returns a sequence of the same length.  The
+    stepper is the Dormand-Prince 5(4) pair with the step controller of
+    scipy's ``RK45``: its initial-step heuristic, the RMS error norm with
+    scale ``atol + max(|y|, |y_new|) * rtol``, safety 0.9, step factors
+    within [0.2, 10], no growth right after a rejection, and its minimum
+    step.  ``abs_tol`` overrides the configured absolute tolerance (may be
+    per-component).  ``stop_events`` are terminal sign-crossing events,
+    called like ``field``; if one fires a :class:`PositivityError` is raised
+    with the crossing located on the step's interpolant.
+
+    The returned :class:`OdePath` carries the counters ``nfev`` (field
+    evaluations), ``n_accepted`` and ``n_rejected`` (step attempts).
 
     Raises
     ------
-    StepLimitError : when the step budget is exhausted.
-    BlowUpError : when a state component exceeds 1e300 in magnitude.
+    StepLimitError : when more than ``8 * max_steps`` evaluations are needed.
+    BlowUpError : when a state component exceeds 1e300 in magnitude, or the
+        step size underflows while one exceeds 1e12.
     """
-    u0 = np.asarray(u0, dtype=float)
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise DomainError(f"need distinct finite endpoints, got {t0!r}, {t1!r}")
-    if not np.all(np.isfinite(u0)):
-        raise DomainError(f"initial state must be finite, got {u0!r}")
-
+    y = [float(v) for v in u0]
+    if not y or not all(math.isfinite(v) for v in y):
+        raise DomainError(f"initial state must be finite and non-empty, got {u0!r}")
+    n = len(y)
+    t0, t1 = float(t0), float(t1)
+    rtol = max(cfg.ode_rel_tol, 100 * _EPS)
+    tol = cfg.ode_abs_tol if abs_tol is None else abs_tol
+    try:
+        atol = np.broadcast_to(np.asarray(tol, dtype=float), (n,)).tolist()
+    except ValueError:
+        raise ConfigError(f"abs_tol must be a scalar or have {n} entries, got {tol!r}") from None
+    if not all(a >= 0.0 for a in atol):
+        raise ConfigError(f"abs_tol must be >= 0, got {tol!r}")
     eval_budget = 8 * cfg.max_steps
-    n_evals = 0
+    direction = 1.0 if t1 > t0 else -1.0
+    toward = direction * math.inf
+    root_n = n**0.5
 
-    def counted(t, u):
-        nonlocal n_evals
-        n_evals += 1
-        if n_evals > eval_budget:
-            raise StepLimitError(
-                f"exceeded {cfg.max_steps} steps integrating from t={t0!r}"
+    f = field(t0, y)
+    if len(f) != n:
+        raise DomainError(f"field returned {len(f)} components for a state of {n}")
+    h_abs = _initial_step(field, t0, y, f, t1, direction, rtol, atol)
+    nfev = 2
+    n_rejected = 0
+    events = [lambda t, u: _HUGE_STATE - max(map(abs, u)), *stop_events]
+    g = [ev(t0, y) for ev in events]
+    t = t0
+    ts = [t]
+    states = [y]
+    stages = []
+    while direction * (t - t1) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, toward) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                # Step-size underflow with a rapidly grown state is how a
+                # pole shows before the magnitude event can fire.
+                if max(map(abs, y)) > 1e12:
+                    raise BlowUpError(
+                        "finite-time explosion (step size underflow)", t, np.array(y)
+                    )
+                raise NumericsError(
+                    f"ODE step size underflow at t={t!r}: required step is "
+                    f"less than the spacing between numbers"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0.0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            if nfev + 6 > eval_budget:
+                raise StepLimitError(
+                    f"exceeded {cfg.max_steps} steps integrating from t={t0!r}"
+                )
+            nfev += 6
+            k1 = f
+            k2 = field(t + _C2 * h, [v + (_A21 * a) * h for v, a in zip(y, k1)])
+            k3 = field(
+                t + _C3 * h,
+                [v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)],
             )
-        return field(t, u)
-
-    def blow_up(t, u):
-        return 1e300 - float(np.max(np.abs(u)))
-
-    blow_up.terminal = True
-    blow_up.direction = -1
-    extra = []
-    for ev in stop_events:
-        ev.terminal = True
-        extra.append(ev)
-
-    sol = solve_ivp(
-        counted,
-        (t0, t1),
-        u0,
-        method="RK45",
-        rtol=cfg.ode_rel_tol,
-        atol=cfg.ode_abs_tol if abs_tol is None else abs_tol,
-        dense_output=True,
-        events=[blow_up] + extra,
-    )
-    if sol.status == -1:
-        last_t = float(sol.t[-1]) if len(sol.t) else t0
-        last_u = sol.y[:, -1].copy() if len(sol.t) else u0
-        # Step-size underflow with a rapidly grown state is how a pole
-        # manifests before the 1e300 magnitude event can fire.
-        if np.max(np.abs(last_u)) > 1e12:
-            raise BlowUpError("finite-time explosion (step size underflow)", last_t, last_u)
-        raise NumericsError(f"ODE solver failed: {sol.message}")
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            raise BlowUpError(
-                "solution magnitude exceeded 1e300",
-                float(sol.t[-1]),
-                sol.y[:, -1].copy(),
+            k4 = field(
+                t + _C4 * h,
+                [
+                    v + (_A41 * a + _A42 * b + _A43 * c) * h
+                    for v, a, b, c in zip(y, k1, k2, k3)
+                ],
             )
-        raise PositivityError(
-            "terminal event fired during integration",
-            float(sol.t[-1]),
-            sol.y[:, -1].copy(),
-        )
-    return OdePath(sol.t.copy(), sol.y.T.copy(), sol.sol)
+            k5 = field(
+                t + _C5 * h,
+                [
+                    v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+                ],
+            )
+            k6 = field(
+                t + h,
+                [
+                    v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+                ],
+            )
+            y_new = [
+                v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
+                for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = field(t + h, y_new)
+            err2 = 0.0
+            for v, w, a, c, d, e, p, q, at in zip(y, y_new, k1, k3, k4, k5, k6, k7, atol):
+                r = (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h / (
+                    at + max(abs(v), abs(w)) * rtol
+                )
+                err2 += r * r
+            error_norm = math.sqrt(err2) / root_n
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+            n_rejected += 1
+
+        step = (k1, k2, k3, k4, k5, k6, k7)
+        g_new = [ev(t_new, y_new) for ev in events]
+        # The blow-up event counts downward crossings only; stop events any.
+        active = [
+            i
+            for i, (a, b) in enumerate(zip(g, g_new))
+            if (a >= 0.0 and b <= 0.0) or (i > 0 and a <= 0.0 and b >= 0.0)
+        ]
+        if active:
+            _raise_at_crossing(events, active, t, t_new, y, y_new, step)
+        g = g_new
+        t, y, f = t_new, y_new, k7
+        ts.append(t)
+        states.append(y)
+        stages.append(step)
+    return OdePath(ts, states, stages, nfev, n_rejected)

@@ -66,6 +66,14 @@ class TestMassOfDensity:
         assert m2 == pytest.approx(m1, rel=0.05)
         assert m1 < 1e-2 * sigma_d(3) * 1e6 / 3.0
 
+    def test_full_kind_through_underflowing_vacuum_tail(self):
+        # the tail density of this compact profile underflows the scaled
+        # Fermi argument; the shoot completes and the mass keeps rising
+        ffd = ModelSpec.full_fd(3, 1e-2)
+        mass = mass_of_density(ffd, 6e7)
+        assert math.isfinite(mass)
+        assert mass > mass_of_density(ffd, 3e7)
+
     def test_rejects_bad_density(self):
         with pytest.raises(ConfigError):
             mass_of_density(MB3, -1.0)

@@ -149,6 +149,10 @@ class TestResponse:
         for model in (MB3, SFD, FFD):
             assert R_value(model, 0.0) == 0.0
 
+    def test_full_kind_identity_where_argument_underflows(self):
+        # (2/mu) z rounds to 0.0 this far below the Fermi window, where R(z) = z
+        assert R_value(FFD, 5e-324) == 5e-324
+
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             R_value(SFD, -1.0)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from fermicloud import ModelSpec, dynamics
 from fermicloud.numerics import (
     DEFAULT_CONFIG,
     BlowUpError,
@@ -18,6 +20,17 @@ from fermicloud.numerics import (
     find_root_monotone,
     integrate_semi_infinite,
     ode_integrate,
+)
+
+
+# A forward oscillator and an exponential decay integrated backward.
+CLOSED_FORM_CASES = pytest.mark.parametrize(
+    "field,t0,u0,t1",
+    [
+        (lambda t, u: [u[1], -u[0]], 0.0, [1.0, 0.0], 20.0),
+        (lambda t, u: [-u[0]], 3.0, [1.0], -2.0),
+    ],
+    ids=["oscillator", "backward-decay"],
 )
 
 
@@ -124,12 +137,13 @@ class TestOdeIntegrate:
 
     def test_blow_up_detected(self):
         # u' = u^2 from u(0)=1 blows up at t=1
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError) as exc:
             ode_integrate(lambda t, u: [u[0] ** 2], 0.0, [1.0], 2.0)
+        assert exc.value.t < 1.0
 
     def test_stop_event_fires(self):
         # linear descent crosses zero at t=1
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError) as exc:
             ode_integrate(
                 lambda t, u: [-1.0],
                 0.0,
@@ -137,6 +151,7 @@ class TestOdeIntegrate:
                 3.0,
                 stop_events=(lambda t, u: u[0],),
             )
+        assert exc.value.t == pytest.approx(1.0, abs=1e-9)
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(DomainError):
@@ -147,3 +162,52 @@ class TestOdeIntegrate:
         field = lambda t, u: [-u[0], -u[1]]
         path = ode_integrate(field, 0.0, [1.0, 1e-12], 3.0, abs_tol=np.array([1e-14, 1e-26]))
         assert path.end_state[1] == pytest.approx(1e-12 * math.exp(-3.0), rel=1e-6)
+
+    @CLOSED_FORM_CASES
+    def test_counters(self, field, t0, u0, t1):
+        path = ode_integrate(field, t0, u0, t1)
+        # one initial slope, one initial-step probe, six evaluations per attempt
+        assert path.nfev == 2 + 6 * (path.n_accepted + path.n_rejected)
+        assert path.n_accepted == len(path.ts) - 1
+
+
+def _mb_scaled_leg(rho, monkeypatch):
+    """The field, arguments and path of the scaled leg of one mb shoot."""
+    calls = []
+
+    def recording(field, *args, **kwargs):
+        path = ode_integrate(field, *args, **kwargs)
+        calls.append((field, args, kwargs, path))
+        return path
+
+    monkeypatch.setattr(dynamics, "ode_integrate", recording)
+    dynamics.integrate_trajectory(ModelSpec.maxwell_boltzmann(3), rho)
+    (field, (t0, u0, t1, cfg), kwargs, path) = calls[0]
+    return field, t0, u0, t1, cfg.ode_rel_tol, kwargs["abs_tol"], path
+
+
+class TestOdeIntegrateMatchesScipyRK45:
+    """The stepper takes scipy's RK45 steps and reproduces its dense output."""
+
+    @staticmethod
+    def _compare(path, field, t0, u0, t1, rtol, atol):
+        ref = solve_ivp(
+            field, (t0, t1), u0, method="RK45", rtol=rtol, atol=atol, dense_output=True
+        )
+        assert ref.status == 0
+        assert path.n_accepted == len(ref.t) - 1
+        assert path.nfev == ref.nfev
+        assert np.allclose(path.end_state, ref.y[:, -1], rtol=1e-12, atol=0.0)
+        inner = np.linspace(t0, t1, 52)[1:-1]
+        assert np.allclose(path(inner), ref.sol(inner), rtol=1e-12, atol=0.0)
+
+    @CLOSED_FORM_CASES
+    def test_closed_form_fields(self, field, t0, u0, t1):
+        path = ode_integrate(field, t0, u0, t1)
+        cfg = DEFAULT_CONFIG
+        self._compare(path, field, t0, u0, t1, cfg.ode_rel_tol, cfg.ode_abs_tol)
+
+    @pytest.mark.parametrize("rho", [1e-2, 1e4])
+    def test_mb_scaled_field(self, rho, monkeypatch):
+        field, t0, u0, t1, rtol, atol, path = _mb_scaled_leg(rho, monkeypatch)
+        self._compare(path, field, t0, u0, t1, rtol, atol)
