@@ -25,6 +25,18 @@ Evaluation strategy
 
 The two closed-form regimes are validated against the quadrature in the
 test suite, so the quadrature stays the single source of truth.
+
+Hot-loop evaluators
+-------------------
+* :class:`FermiEvaluator` proxies ``log f_alpha`` of one order by Chebyshev
+  panels fitted to the quadrature, with a guarded Newton inverse.
+* :class:`ResponseRatioProxy` serves the full-statistics response.  With
+  ``w = 2 z / mu`` its ratio is ``R(z)/z = ((d-2)/2) zeta(w)/w``, ``zeta``
+  the composition :func:`zeta_map`, so it depends on d only; eta enters
+  through the scale ``2/mu`` alone.  One piecewise Chebyshev interpolant of
+  ``log(R/z)`` in ``log w``, sampled once per dimension from the composition
+  of the two order evaluators, replaces the per-call Newton inverse; the
+  closed forms bound it on both sides.
 """
 
 from __future__ import annotations
@@ -54,6 +66,8 @@ __all__ = [
     "zeta_map",
     "bound_constant_C",
     "FermiEvaluator",
+    "ResponseRatioProxy",
+    "cached_ratio_proxy",
 ]
 
 CLASSICAL_CUTOFF = -30.0
@@ -268,9 +282,9 @@ class FermiEvaluator:
     Outside the quadrature window the closed-form branches apply; inside,
     Chebyshev proxies of ``log f_alpha`` are fitted once per panel from the
     quadrature values and reused.  Proxy error is below 1e-11 relative,
-    checked against direct quadrature in the tests.  Intended for hot loops
-    (statistics kernels inside ODE right-hand sides); the public
-    :func:`fermi_f` stays pure quadrature in the midrange.
+    checked against direct quadrature in the tests.  Intended for repeated
+    scalar evaluation (the sampler of :class:`ResponseRatioProxy`, for one);
+    the public :func:`fermi_f` stays pure quadrature in the midrange.
 
     The inverse seeds a guarded Newton iteration from a precomputed value
     table, so results depend only on the query, never on call history.
@@ -380,3 +394,76 @@ class FermiEvaluator:
 def cached_evaluator(alpha: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> FermiEvaluator:
     """Shared evaluator instances keyed by order and configuration."""
     return FermiEvaluator(alpha, cfg)
+
+
+class ResponseRatioProxy:
+    """The full-statistics ratio ``((d-2)/2) zeta(w)/w`` for one dimension d.
+
+    The full response is ``R(z) = z * ratio(2 z / mu)``, so every eta of one
+    dimension shares this object.  Inside ``window``, the inner evaluator's
+    range ``(logf_lo, logf_hi)`` of ``t = log w`` for the order ``d/2 - 1``,
+    the ratio is ``exp(g(t))`` with ``g`` a piecewise Chebyshev interpolant
+    on uniform panels at most ``_PANEL_WIDTH`` wide.  Each panel interpolates
+    ``g(t) = log((d-2)/2) + log f_(d/2-2)(f_(d/2-1)^(-1)(e^t)) - t``, composed
+    from the two cached order evaluators, at its interior Chebyshev points:
+    the composition switches branch exactly at the window edges, so it is
+    never sampled there.  Outside the window the composition has closed
+    forms, and the ratio follows them: below it both orders sit on their
+    classical branch and the ratio is 1 (this covers ``w == 0.0`` as well);
+    above it both sit on the degenerate expansion.
+
+    One evaluation inside the window costs one ``log``, one panel index,
+    one Clenshaw sum and one ``exp``; no Newton iteration runs per call.
+    Agreement with the composition and with :func:`zeta_map` is checked in
+    the tests.
+    """
+
+    # Trailing coefficients sit at or below the composition's own noise.
+    _PANEL_WIDTH = 2.0
+    _DEGREE = 32
+
+    def __init__(self, d: int, cfg: NumericsConfig = DEFAULT_CONFIG):
+        self.d = _check_dimension(d)
+        inner = cached_evaluator(self.d / 2.0 - 1.0, cfg)
+        outer = cached_evaluator(self.d / 2.0 - 2.0, cfg)
+        self._inner = inner
+        self._outer_alpha = outer.alpha
+        self._front = 0.5 * (self.d - 2)
+        t_lo, t_hi = inner._logf_lo, inner._logf_hi
+        self.window = (t_lo, t_hi)
+        self._t_lo = t_lo
+        self._w_lo = math.exp(t_lo)
+        self._w_hi = math.exp(t_hi)
+        n = math.ceil((t_hi - t_lo) / self._PANEL_WIDTH)
+        self._n_panels = n
+        self._edges = [float(e) for e in np.linspace(t_lo, t_hi, n + 1)]
+        self._inv_width = n / (t_hi - t_lo)
+        log_front = math.log(self._front)
+
+        def composed(ts: np.ndarray) -> np.ndarray:
+            return np.array([
+                log_front + outer.log_value(inner.inverse(math.exp(t))) - t for t in ts
+            ])
+
+        proxies = [
+            Chebyshev.interpolate(composed, self._DEGREE, domain=[a, b])
+            for a, b in zip(self._edges[:-1], self._edges[1:])
+        ]
+        self._coef = [tuple(float(c) for c in p.coef) for p in proxies]
+
+    def ratio(self, w: float) -> float:
+        """``R(z)/z`` at ``w = 2 z / mu >= 0``."""
+        if w <= self._w_lo:
+            return 1.0
+        if w >= self._w_hi:
+            v = self._inner._invert_degenerate(w)
+            return self._front * _fermi_degenerate(self._outer_alpha, v) / w
+        t = math.log(w)
+        i = min(int((t - self._t_lo) * self._inv_width), self._n_panels - 1)
+        return math.exp(_cheb_eval(self._coef[i], self._edges[i], self._edges[i + 1], t))
+
+
+@lru_cache(maxsize=16)
+def cached_ratio_proxy(d: int, cfg: NumericsConfig = DEFAULT_CONFIG) -> ResponseRatioProxy:
+    """Shared full-statistics ratio proxies keyed by dimension and configuration."""
+    return ResponseRatioProxy(d, cfg)

@@ -9,9 +9,15 @@ degeneracy parameter eta >= 0:
 * ``ffd`` (full):             R(z) = mu (d-2)/4 * f_(d/2-2)(f_(d/2-1)^(-1)(2 z / mu))
 
 with ``eta * mu^(2/d) = 2 d^(2/d - 1)`` tying the two parameterizations
-together.  As eta -> 0 both degenerate models collapse onto the classical
-one; the defect S(z) = z - R(z) >= 0 measures the distance and is majorized
-by ``C(eta) z^(1+2/d)`` with C(eta) -> 0.
+together.  The full response is evaluated as ``z * ratio(2 z / mu)``: the
+ratio ``R(z)/z = ((d-2)/2) zeta(w)/w`` of :func:`fermi.zeta_map` depends on
+d only, so one Chebyshev proxy of its logarithm per dimension
+(:func:`fermi.cached_ratio_proxy`) serves every eta, with no Newton
+inversion per call.
+
+As eta -> 0 both degenerate models collapse onto the classical one; the
+defect S(z) = z - R(z) >= 0 measures the distance and is majorized by
+``C(eta) z^(1+2/d)`` with C(eta) -> 0.
 
 Derived quantities: the enthalpy-like primitive H with H'(z) R(z) = 1, and
 the barotropic pressure closure
@@ -152,29 +158,25 @@ class ModelSpec:
 class _FullFdKernel:
     """Scalar response evaluator for the full degenerate kind.
 
-    Composes the cached fast Fermi evaluators for the two orders involved.
-    For arguments below the evaluators' window the composition collapses to
-    R(z) = z exactly (both orders on their classical branch), matching the
-    analytic limit.
+    ``R(z) = z * ratio(2 z / mu)``, where the ratio ``((d-2)/2) zeta(w)/w``
+    depends on the dimension only and comes from the shared per-dimension
+    Chebyshev proxy :func:`fermi.cached_ratio_proxy`; eta enters through the
+    scale ``2/mu`` alone.  The ratio is exactly 1 below the proxy's window
+    (including where ``2 z / mu`` underflows to 0), so R(z) = z there,
+    matching the analytic limit; it is capped at 1 so that R(z) <= z holds
+    to the last bit.
     """
 
     def __init__(self, d: int, eta: float, cfg: NumericsConfig):
         self.d = d
         self.eta = eta
         self.mu = mu_from_eta(d, eta)
-        self._inner = fermi.cached_evaluator(d / 2.0 - 1.0, cfg)
-        self._outer = fermi.cached_evaluator(d / 2.0 - 2.0, cfg)
-        self._front = self.mu * (d - 2) / 4.0
+        self.proxy = fermi.cached_ratio_proxy(d, cfg)
+        self._ratio = self.proxy.ratio
         self._wscale = 2.0 / self.mu
 
     def R(self, z: float) -> float:
-        w = self._wscale * z
-        if w == 0.0:
-            # z = 0, or z so deep in the vacuum tail that w underflows: far
-            # below the window, where R(z) = z.
-            return z
-        v = self._inner.inverse(w)
-        return self._front * self._outer.value(v)
+        return z * min(self._ratio(self._wscale * z), 1.0)
 
 
 @lru_cache(maxsize=64)

@@ -12,12 +12,13 @@ from fermicloud.fermi import (
     FermiEvaluator,
     bound_constant_C,
     cached_evaluator,
+    cached_ratio_proxy,
     fermi_asymptotic,
     fermi_f,
     fermi_f_inverse,
     zeta_map,
 )
-from fermicloud.numerics import DomainError
+from fermicloud.numerics import DEFAULT_CONFIG, DomainError
 
 
 def quadrature_oracle(alpha, z):
@@ -253,3 +254,51 @@ class TestFermiEvaluator:
 
     def test_cached_evaluator_is_shared(self):
         assert cached_evaluator(0.5) is cached_evaluator(0.5)
+
+
+def composed_ratio(d, w):
+    """((d-2)/2) zeta(w)/w through the two order evaluators, Newton inverse included."""
+    inner = cached_evaluator(d / 2.0 - 1.0, DEFAULT_CONFIG)
+    outer = cached_evaluator(d / 2.0 - 2.0, DEFAULT_CONFIG)
+    return 0.5 * (d - 2) * outer.value(inner.inverse(w)) / w
+
+
+DIMENSIONS = range(3, 10)
+
+
+class TestResponseRatioProxy:
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_matches_composition_on_dense_grid(self, d):
+        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        t_lo, t_hi = proxy.window
+        for t in np.linspace(t_lo - 1.0, t_hi + 1.0, 2001):
+            w = math.exp(float(t))
+            assert proxy.ratio(w) == pytest.approx(composed_ratio(d, w), rel=1e-10)
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_matches_quadrature_oracle(self, d):
+        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        t_lo, t_hi = proxy.window
+        for t in np.linspace(t_lo - 3.0, t_hi + 3.0, 20):
+            w = math.exp(float(t))
+            expected = 0.5 * (d - 2) * zeta_map(d, w) / w
+            assert proxy.ratio(w) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_continuous_at_window_edges(self, d):
+        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        for t in proxy.window:
+            w = math.exp(t)
+            below = proxy.ratio(math.nextafter(w, 0.0))
+            above = proxy.ratio(math.nextafter(w, math.inf))
+            assert abs(above - below) <= 1e-12 * below
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_identity_below_window(self, d):
+        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        for w in (0.0, 5e-324, 1e-200, math.exp(proxy.window[0])):
+            assert proxy.ratio(w) == 1.0
+
+    def test_rejects_dimension_out_of_range(self):
+        with pytest.raises(DomainError):
+            cached_ratio_proxy(2, DEFAULT_CONFIG)

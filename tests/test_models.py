@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fermicloud.fermi import bound_constant_C, fermi_f, fermi_f_inverse
+from fermicloud import models
+from fermicloud.fermi import bound_constant_C, cached_ratio_proxy, fermi_f, fermi_f_inverse
 from fermicloud.models import (
     GAP_MAJORANT_FORM,
     C_eta_majorant,
@@ -20,7 +21,7 @@ from fermicloud.models import (
     response_fn,
     sigma_d,
 )
-from fermicloud.numerics import ConfigError, DomainError
+from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, DomainError
 
 
 MB3 = ModelSpec.maxwell_boltzmann(3)
@@ -107,6 +108,15 @@ class TestResponse:
             expected = z / (1.0 + 1e-2 * z ** (2.0 / 3.0))
             assert R_value(SFD, z) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_simplified_defining_identity(self, d):
+        # 1/R = 1/z + eta z^(-1/d), the definition the closed form implements
+        for eta in (1e-3, 1e-1, 1.0):
+            model = ModelSpec.simplified_fd(d, eta)
+            for z in (1e-6, 0.3, 1.0, 40.0, 1e8):
+                r = R_value(model, z)
+                assert 1.0 / r == pytest.approx(1.0 / z + eta * z ** (-1.0 / d), rel=1e-14)
+
     def test_simplified_half_at_unit_eta(self):
         # (1/1 + 1/1)^(-1) = 1/2, and the gap picks up the other half
         unit = ModelSpec.simplified_fd(3, 1.0)
@@ -162,6 +172,31 @@ class TestResponse:
         f = response_fn(model)
         for z in (1e-9, 0.37, 12.0, 1e5):
             assert f(z) == pytest.approx(R_value(model, z), rel=1e-12, abs=1e-300)
+
+
+class TestFullKindProxy:
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_one_proxy_per_dimension(self, d):
+        strong = models._full_fd_kernel(d, 1e-2, DEFAULT_CONFIG)
+        weak = models._full_fd_kernel(d, 1e-4, DEFAULT_CONFIG)
+        assert strong.proxy is weak.proxy is cached_ratio_proxy(d, DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_response_is_scaled_ratio(self, d):
+        model = ModelSpec.full_fd(d, 1e-2)
+        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        for z in (1e-9, 0.37, 12.0, 1e5, 1e12):
+            assert R_value(model, z) == z * min(proxy.ratio(2.0 * z / model.mu), 1.0)
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_below_identity_and_strictly_increasing(self, d):
+        # the grid runs from below the proxy window to past its top at eta = 1e-2
+        model = ModelSpec.full_fd(d, 1e-2)
+        f = response_fn(model)
+        zs = np.logspace(-14.0, 18.0, 20001)
+        values = [f(float(z)) for z in zs]
+        assert all(r <= z for r, z in zip(values, zs))
+        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestGap:
