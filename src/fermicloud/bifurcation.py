@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, comparison_grid, integrate_trajectory
+from .dynamics import Trajectory, _write_text, comparison_grid, integrate_trajectory
 from .models import ModelKind, ModelSpec, S_value, sigma_d
 from .numerics import (
     DEFAULT_CONFIG,
@@ -59,14 +58,6 @@ _AUDIT_DIFF_HALF_WIDTH = 2e-3
 
 # Sample count for the max of S over [0, rho0] (the bound's right-hand scale).
 _S_SCAN_POINTS = 513
-
-
-def _write_text(destination, text: str) -> None:
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(os.fspath(destination), "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -381,11 +372,9 @@ def convergence_study(
 
     reports = []
     for eta in etas:
-        if kind is ModelKind.SIMPLIFIED_FD:
-            fd_model = ModelSpec.simplified_fd(d, eta)
-        else:
-            fd_model = ModelSpec.full_fd(d, eta)
-        traj = integrate_trajectory(fd_model, rho0, s_start=s_start, s_end=0.0, cfg=cfg)
+        traj = integrate_trajectory(
+            ModelSpec(kind, d, eta), rho0, s_start=s_start, s_end=0.0, cfg=cfg
+        )
         xt, yt = traj.sample_scaled(grid)
         dx = np.abs(xt - xt0)
         dy = np.abs(yt - yt0)

@@ -203,12 +203,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"kind must be one of mb, sfd, ffd, got {self.kind!r}") from exc
         if kind is ModelKind.MAXWELL_BOLTZMANN:
-            return ModelSpec.maxwell_boltzmann(self.d)
+            return ModelSpec(kind, self.d)  # the classical kind ignores --eta
         if self.eta is None:
             raise ConfigError(f"--eta is required for kind {kind.value!r}")
-        if kind is ModelKind.SIMPLIFIED_FD:
-            return ModelSpec.simplified_fd(self.d, self.eta)
-        return ModelSpec.full_fd(self.d, self.eta)
+        return ModelSpec(kind, self.d, self.eta)
 
     def echo(self) -> dict:
         """Effective configuration as embedded in JSON artifacts."""

@@ -39,11 +39,10 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .models import ModelKind, ModelSpec, R_value, response_fn, _check_d
+from .models import ModelKind, ModelSpec, response_fn, _check_d
 from .numerics import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -87,6 +86,32 @@ _LOG_TINY = -745.0
 _DIFF_HALF_WIDTH = 3e-4
 
 
+def _write_text(destination, text: str) -> None:
+    """Write text to a path or to a writable text file object."""
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(os.fspath(destination), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _leg_form(s, first, second, rescaled_leg: bool, scaled: bool, exp):
+    """Convert one leg's stored pair at log-radius s (scalars or arrays).
+
+    The rescaled leg stores (x e^{-2s}, log(y e^{-2s})), the plain leg (x, y).
+    Returns (x, y), or with ``scaled`` (x e^{-2s}, y e^{-2s}); ``exp`` is
+    ``math.exp`` for scalars and ``np.exp`` for arrays.
+    """
+    if rescaled_leg:
+        if scaled:
+            return first, exp(second)
+        return first * exp(2.0 * s), exp(second + 2.0 * s)
+    if not scaled:
+        return first, second
+    sc = exp(-2.0 * s)
+    return first * sc, second * sc
+
+
 @dataclass(frozen=True)
 class State:
     """One phase point: log-radius s, integrated-mass variable x, flux variable y."""
@@ -113,6 +138,10 @@ class Trajectory:
         self.s_start = scaled_leg.t0
         self.s_end = plain_leg.t1 if plain_leg is not None else scaled_leg.t1
         self._split = scaled_leg.t1
+        # (dense output, stores the rescaled pair) of each leg, in increasing s
+        self._legs = [(scaled_leg, True)]
+        if plain_leg is not None:
+            self._legs.append((plain_leg, False))
 
     def __repr__(self) -> str:
         n = len(self._scaled.ts)
@@ -134,48 +163,25 @@ class Trajectory:
                 f"[{self.s_start!r}, {self.s_end!r}]"
             )
 
-    def sample(self, s_values) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (x, y) at the given log-radii (array-like, any order)."""
+    def _sample(self, s_values, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
         s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
         self._check_range(s_arr)
-        if self._plain is None:
-            st = self._scaled(s_arr)
-            return st[0] * np.exp(2.0 * s_arr), np.exp(st[1] + 2.0 * s_arr)
-        x = np.empty_like(s_arr)
-        y = np.empty_like(s_arr)
-        low = s_arr <= self._split
-        if low.any():
-            st = self._scaled(s_arr[low])
-            x[low] = st[0] * np.exp(2.0 * s_arr[low])
-            y[low] = np.exp(st[1] + 2.0 * s_arr[low])
-        high = ~low
-        if high.any():
-            st = self._plain(s_arr[high])
-            x[high] = st[0]
-            y[high] = st[1]
-        return x, y
+        first = np.empty_like(s_arr)
+        second = np.empty_like(s_arr)
+        low = s_arr <= self._split if self._plain is not None else np.full(s_arr.shape, True)
+        for on_leg, (leg, rescaled) in zip((low, ~low), self._legs):
+            if on_leg.any():
+                s = s_arr[on_leg]
+                first[on_leg], second[on_leg] = _leg_form(s, *leg(s), rescaled, scaled, np.exp)
+        return first, second
+
+    def sample(self, s_values) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (x, y) at the given log-radii (array-like, any order)."""
+        return self._sample(s_values, scaled=False)
 
     def sample_scaled(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (x e^{-2s}, y e^{-2s}); the second one is the local density."""
-        s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
-        self._check_range(s_arr)
-        if self._plain is None:
-            st = self._scaled(s_arr)
-            return st[0], np.exp(st[1])
-        xt = np.empty_like(s_arr)
-        yt = np.empty_like(s_arr)
-        low = s_arr <= self._split
-        if low.any():
-            st = self._scaled(s_arr[low])
-            xt[low] = st[0]
-            yt[low] = np.exp(st[1])
-        high = ~low
-        if high.any():
-            st = self._plain(s_arr[high])
-            sc = np.exp(-2.0 * s_arr[high])
-            xt[high] = st[0] * sc
-            yt[high] = st[1] * sc
-        return xt, yt
+        return self._sample(s_values, scaled=True)
 
     def density(self, s_values) -> np.ndarray:
         """Local density y(s) e^{-2s} at the given log-radii."""
@@ -189,16 +195,12 @@ class Trajectory:
     def _rows(self) -> list[tuple[float, float, float, float]]:
         """(s, x, y, density) at the solver nodes, in increasing s."""
         out = []
-        for t, (xt, w) in zip(self._scaled.ts, self._scaled.states):
-            t = float(t)
-            out.append(
-                (t, float(xt) * math.exp(2.0 * t), math.exp(float(w) + 2.0 * t), math.exp(float(w)))
-            )
-        if self._plain is not None:
-            for t, (x, y) in zip(self._plain.ts[1:], self._plain.states[1:]):
-                out.append(
-                    (float(t), float(x), float(y), float(y) * math.exp(-2.0 * float(t)))
-                )
+        for k, (leg, rescaled) in enumerate(self._legs):
+            # The plain leg starts at s = 0, the rescaled leg's last node.
+            for t, (a, b) in zip(leg.ts[k:], leg.states[k:]):
+                t, a, b = float(t), float(a), float(b)
+                x, y = _leg_form(t, a, b, rescaled, False, math.exp)
+                out.append((t, x, y, _leg_form(t, a, b, rescaled, True, math.exp)[1]))
         return out
 
     @cached_property
@@ -208,12 +210,10 @@ class Trajectory:
 
     @property
     def end_state(self) -> State:
-        if self._plain is not None:
-            x, y = self._plain.end_state
-            return State(self.s_end, float(x), float(y))
-        t = self._scaled.t1
-        xt, w = self._scaled.end_state
-        return State(t, float(xt) * math.exp(2.0 * t), math.exp(float(w) + 2.0 * t))
+        leg, rescaled = self._legs[-1]
+        a, b = leg.end_state
+        x, y = _leg_form(leg.t1, float(a), float(b), rescaled, False, math.exp)
+        return State(leg.t1, x, y)
 
     def to_csv(self, destination, lyapunov_column: bool = False) -> None:
         """Write the sampled trajectory as CSV (17 significant digits).
@@ -232,12 +232,35 @@ class Trajectory:
             if lyapunov_column:
                 vals.append(lyapunov(d, x, y))
             lines.append(",".join("%.17g" % v for v in vals))
-        text = "\n".join(lines) + "\n"
-        if hasattr(destination, "write"):
-            destination.write(text)
+        _write_text(destination, "\n".join(lines) + "\n")
+
+
+def _plain_field(model: ModelSpec, cfg: NumericsConfig):
+    """The field of :func:`rhs_nonautonomous` as a closure (s, (x, y)) -> (x', y').
+
+    Classical statistics (eta = 0, which covers the classical kind) take the
+    autonomous form; a trial value y <= 0 leaves only the source term 2y.
+    """
+    d = model.d
+    classical = model.eta == 0.0
+    resp = response_fn(model, cfg)
+
+    def field(s, u):
+        x, y = u
+        dx = (2.0 - d) * x + y
+        if classical:
+            return dx, (2.0 - x) * y
+        if not y > 0.0:
+            return dx, 2.0 * y
+        if abs(2.0 * s) < _LOG_HUGE:
+            z = y * math.exp(-2.0 * s)
         else:
-            with open(os.fspath(destination), "w", encoding="utf-8") as fh:
-                fh.write(text)
+            z = math.exp(math.log(y) - 2.0 * s)
+        # R(z) <= z holds exactly for the family; clamp shaves evaluator noise.
+        ratio = min(resp(z) / z, 1.0) if z > 0.0 else 1.0
+        return dx, 2.0 * y - x * y * ratio
+
+    return field
 
 
 def rhs_nonautonomous(
@@ -245,7 +268,8 @@ def rhs_nonautonomous(
 ) -> tuple[float, float]:
     """Vector field of the driven system at one phase point.
 
-    Returns ``((2-d)x + y, 2y - x e^{2s} R(e^{-2s} y))``.  The sink term is
+    Returns ``((2-d)x + y, 2y - x e^{2s} R(e^{-2s} y))``, the field that
+    :func:`integrate_trajectory` advances past s = 0.  The sink term is
     evaluated as ``x y (R(z)/z)`` with z = e^{-2s} y: the ratio lies in
     (0, 1], tends to 1 in the classical limit z -> 0, and stays finite for
     every s where z is representable.  The classical kind reduces to the
@@ -260,19 +284,9 @@ def rhs_nonautonomous(
         raise DomainError(f"need finite s and x, got s={s!r}, x={x!r}")
     if not (math.isfinite(y) and y >= 0.0):
         raise DomainError(f"need finite y >= 0, got {y!r}")
-    d = model.d
-    dx = (2.0 - d) * x + y
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        return dx, (2.0 - x) * y
-    if y == 0.0:
-        return dx, 0.0
-    log_z = math.log(y) - 2.0 * s
-    if log_z > _LOG_HUGE:
+    if model.eta != 0.0 and y > 0.0 and math.log(y) - 2.0 * s > _LOG_HUGE:
         raise DomainError(f"response argument e^(-2 s) y overflows at s={s!r}")
-    z = y * math.exp(-2.0 * s) if abs(2.0 * s) < _LOG_HUGE else math.exp(log_z)
-    # R(z) <= z holds exactly for the family; clamp shaves evaluator noise.
-    ratio = min(R_value(model, z, cfg) / z, 1.0) if z > 0.0 else 1.0
-    return dx, 2.0 * y - x * y * ratio
+    return _plain_field(model, cfg)(s, (x, y))
 
 
 def rhs_autonomous(d: int, x: float, y: float) -> tuple[float, float]:
@@ -314,7 +328,10 @@ def integrate_trajectory(
     On [s_start, min(s_end, 0)] the rescaled pair
     (x e^{-2s}, log(y e^{-2s})) is advanced, with the absolute tolerance of
     the first component scaled by min(1, rho); any remainder integrates
-    (x, y) directly.  The flux variable is kept in log form below s = 0, so
+    (x, y) directly, with the field of :func:`rhs_nonautonomous` (one
+    definition serves both).  The hot response closure comes from
+    :func:`models.response_fn`, so every statistics kind runs the same two
+    fields.  The flux variable is kept in log form below s = 0, so
     y > 0 holds by construction there; a zero crossing of x (physically
     impossible) aborts with :class:`PositivityError`, as does one of x or y
     on the s > 0 leg.  Finite-time escape raises :class:`BlowUpError`.
@@ -347,28 +364,11 @@ def integrate_trajectory(
     )
     plain_leg = None
     if s_end > 0.0:
-        if model.kind is ModelKind.MAXWELL_BOLTZMANN:
-
-            def plain_rhs(s, u):
-                x, y = u
-                return (2.0 - d) * x + y, (2.0 - x) * y
-
-        else:
-
-            def plain_rhs(s, u):
-                x, y = u
-                yc = y if y > 0.0 else 0.0
-                if yc == 0.0:
-                    return (2.0 - d) * x + y, 2.0 * y
-                z = yc * math.exp(-2.0 * s)
-                ratio = min(resp(z) / z, 1.0) if z > 0.0 else 1.0
-                return (2.0 - d) * x + y, 2.0 * y - x * yc * ratio
-
         xt_end, w_end = scaled_leg.end_state  # the scale factor at s = 0 is 1
         # The y event tolerates exact underflow to 0.0 in the vacuum tail of
         # compact degenerate profiles; only a real negative excursion fires.
         plain_leg = ode_integrate(
-            plain_rhs,
+            _plain_field(model, cfg),
             0.0,
             (float(xt_end), math.exp(float(w_end))),
             float(s_end),

@@ -36,7 +36,9 @@ Hot-loop evaluators
   through the scale ``2/mu`` alone.  One piecewise Chebyshev interpolant of
   ``log(R/z)`` in ``log w``, sampled once per dimension from the composition
   of the two order evaluators, replaces the per-call Newton inverse; the
-  closed forms bound it on both sides.
+  closed forms bound it on both sides.  The dimension constant C(d) of
+  :func:`bound_constant_C`, the peak of ``w^(-2/d) (1 - ratio(w))``, is
+  read from the same proxy.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .numerics import (
@@ -217,52 +220,43 @@ def _check_dimension(d: int) -> int:
     return int(d)
 
 
-def _degeneracy_defect(d: int, w: float, cfg: NumericsConfig) -> float:
-    """Objective w^(-1-2/d) * (w - (d-2)/2 * zeta_map(w))."""
-    return w ** (-1.0 - 2.0 / d) * (w - 0.5 * (d - 2) * zeta_map(d, w, cfg))
-
-
 @lru_cache(maxsize=32)
-def _bound_constant_cached(d: int, cfg: NumericsConfig) -> tuple[float, float]:
-    grid = np.logspace(-6.0, 8.0, 14 * 12 + 1)
-    values = np.array([_degeneracy_defect(d, w, cfg) for w in grid])
+def _bound_constant(d: int, cfg: NumericsConfig) -> tuple[float, float]:
+    ratio = cached_ratio_proxy(d, cfg).ratio
+
+    def defect(t: float) -> float:
+        w = math.exp(t)
+        return w ** (-2.0 / d) * (1.0 - ratio(w))
+
+    grid = np.linspace(math.log(1e-6), math.log(1e8), 14 * 12 + 1)
+    values = [defect(float(t)) for t in grid]
     best = int(np.argmax(values))
     if values[best] <= 0.0:
         raise NumericsError(
             f"degeneracy defect not positive anywhere on the scan grid for d={d}"
         )
-    # Golden-section refinement on log w inside the bracketing cells.
-    lo = math.log(grid[max(best - 1, 0)])
-    hi = math.log(grid[min(best + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc = _degeneracy_defect(d, math.exp(c), cfg)
-    fe = _degeneracy_defect(d, math.exp(e), cfg)
-    for _ in range(60):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = _degeneracy_defect(d, math.exp(c), cfg)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = _degeneracy_defect(d, math.exp(e), cfg)
-    peak = max(values[best], fc, fe)
-    return float(peak), float(abs(peak - values[best]) + 1e-2 * peak)
+    refined = minimize_scalar(
+        lambda t: -defect(t),
+        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    peak = max(values[best], -float(refined.fun))
+    return peak, abs(peak - values[best]) + 1e-2 * peak
 
 
 def bound_constant_C(d: int, cfg: NumericsConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Peak of the degeneracy defect over w, with an accuracy estimate.
+    """Peak C(d) of the degeneracy defect over w, with an accuracy estimate.
 
     Returns ``(C, accuracy)`` where C is the supremum of
-    ``w^(-1-2/d) (w - (d-2)/2 zeta(w))`` located by a log-spaced grid scan
-    over ``[1e-6, 1e8]`` plus golden-section refinement, and ``accuracy``
-    is a conservative bound on the scan error (about one percent).
+    ``w^(-2/d) (1 - ratio(w))``, the ratio ``((d-2)/2) zeta(w)/w`` read from
+    the dimension's :func:`cached_ratio_proxy`.  A log-spaced scan over
+    ``[1e-6, 1e8]`` (12 points per decade) brackets the peak and a bounded
+    scalar minimization refines it; ``accuracy`` is a conservative bound on
+    the scan error (about one percent).  The full-statistics gap majorant is
+    ``C_eta = (2/mu)^(2/d) C(d)``.
     """
-    d = _check_dimension(d)
-    return _bound_constant_cached(d, cfg)
+    return _bound_constant(_check_dimension(d), cfg)
 
 
 def _cheb_eval(coef: tuple[float, ...], a: float, b: float, v: float) -> float:
@@ -390,9 +384,13 @@ class FermiEvaluator:
         return v
 
 
-@lru_cache(maxsize=64)
 def cached_evaluator(alpha: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> FermiEvaluator:
     """Shared evaluator instances keyed by order and configuration."""
+    return _evaluator(_check_order(alpha), cfg)
+
+
+@lru_cache(maxsize=64)
+def _evaluator(alpha: float, cfg: NumericsConfig) -> FermiEvaluator:
     return FermiEvaluator(alpha, cfg)
 
 
@@ -463,7 +461,11 @@ class ResponseRatioProxy:
         return math.exp(_cheb_eval(self._coef[i], self._edges[i], self._edges[i + 1], t))
 
 
-@lru_cache(maxsize=16)
 def cached_ratio_proxy(d: int, cfg: NumericsConfig = DEFAULT_CONFIG) -> ResponseRatioProxy:
     """Shared full-statistics ratio proxies keyed by dimension and configuration."""
+    return _ratio_proxy(_check_dimension(d), cfg)
+
+
+@lru_cache(maxsize=16)
+def _ratio_proxy(d: int, cfg: NumericsConfig) -> ResponseRatioProxy:
     return ResponseRatioProxy(d, cfg)

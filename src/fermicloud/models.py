@@ -23,13 +23,23 @@ Derived quantities: the enthalpy-like primitive H with H'(z) R(z) = 1, and
 the barotropic pressure closure
 ``p(rho, theta) = theta^(d/2+1) P(rho theta^(-d/2))`` with
 ``P(z) = int_0^z t / R(t) dt``.
+
+Each kind is one private statistics object, built once per (model,
+configuration), that carries R, S, H, P and the majorant constant C(eta).
+Every one of them is a closed form or a read of the per-dimension Fermi
+tables; no quadrature runs here.  For the full kind, with
+``v = f_(d/2-1)^(-1)(2 z / mu)``, the ideal Fermi gas identities give
+``H = v + log Gamma(d/2) + log(mu/2)`` and ``P = (mu/2) f_(d/2)(v) / (d/2)``
+(Chavanis, PRE 65, 056123, 2002), and the majorant follows from scaling:
+``C(eta) = (2/mu)^(2/d) C(d)``.  Statistics are classical wherever
+eta = 0, whatever the kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -38,13 +48,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 from . import fermi
-from .numerics import (
-    DEFAULT_CONFIG,
-    ConfigError,
-    DomainError,
-    NumericsConfig,
-    integrate_semi_infinite,
-)
+from .numerics import DEFAULT_CONFIG, ConfigError, DomainError, NumericsConfig
 
 __all__ = [
     "ModelKind",
@@ -155,33 +159,130 @@ class ModelSpec:
         return cls(kind, d, eta)
 
 
-class _FullFdKernel:
-    """Scalar response evaluator for the full degenerate kind.
+class _Classical:
+    """Classical statistics (``mb``, or any kind at eta = 0): R(z) = z."""
 
-    ``R(z) = z * ratio(2 z / mu)``, where the ratio ``((d-2)/2) zeta(w)/w``
-    depends on the dimension only and comes from the shared per-dimension
-    Chebyshev proxy :func:`fermi.cached_ratio_proxy`; eta enters through the
-    scale ``2/mu`` alone.  The ratio is exactly 1 below the proxy's window
-    (including where ``2 z / mu`` underflows to 0), so R(z) = z there,
-    matching the analytic limit; it is capped at 1 so that R(z) <= z holds
-    to the last bit.
+    @staticmethod
+    def R(z: float) -> float:
+        return z
+
+    @staticmethod
+    def S(z: float) -> float:
+        return 0.0
+
+    @staticmethod
+    def H(z: float) -> float:
+        return math.log(z)
+
+    @staticmethod
+    def P(z: float) -> float:
+        return z
+
+    @staticmethod
+    def majorant() -> float:
+        return 0.0
+
+
+class _SimplifiedFd:
+    """Simplified statistics, 1/R = 1/z + eta z^(-1/d), all in closed form.
+
+    With u = eta z^(1-1/d): ``R = z/(1+u)``, ``S = z u/(1+u)`` (no
+    cancellation where z and R agree to many digits),
+    ``H = log z + (d/(d-1)) u`` and ``P = z + eta d/(2d-1) z^(2-1/d)``.
+    ``z^(-1-2/d) S = eta^(2/(d-1)) u^p/(1+u)`` with p = (d-3)/(d-1) peaks at
+    u = p/(1-p), so ``C_eta = eta^(2/(d-1)) p^p (1-p)^(1-p)``; at d = 3 this
+    is eta, the limit z -> 0.
     """
 
-    def __init__(self, d: int, eta: float, cfg: NumericsConfig):
-        self.d = d
-        self.eta = eta
-        self.mu = mu_from_eta(d, eta)
-        self.proxy = fermi.cached_ratio_proxy(d, cfg)
+    def __init__(self, model: ModelSpec, cfg: NumericsConfig):
+        self.d = model.d
+        self.eta = model.eta
+        self.p = 1.0 - 1.0 / model.d
+
+    def R(self, z: float) -> float:
+        return z / (1.0 + self.eta * z ** self.p)
+
+    def S(self, z: float) -> float:
+        u = self.eta * z ** self.p
+        return z * u / (1.0 + u)
+
+    def H(self, z: float) -> float:
+        d = self.d
+        return math.log(z) + d / (d - 1.0) * self.eta * z ** self.p
+
+    def P(self, z: float) -> float:
+        d = self.d
+        return z + self.eta * d / (2.0 * d - 1.0) * z ** (2.0 - 1.0 / d)
+
+    def majorant(self) -> float:
+        q = (self.d - 3.0) / (self.d - 1.0)
+        return self.eta ** (2.0 / (self.d - 1.0)) * q**q * (1.0 - q) ** (1.0 - q)
+
+
+class _FullFd:
+    """Full Fermi-Dirac statistics from per-dimension Fermi tables.
+
+    ``R(z) = z * ratio(2 z / mu)``, where the ratio ``((d-2)/2) zeta(w)/w``
+    depends on the dimension only and comes from the shared Chebyshev proxy
+    :func:`fermi.cached_ratio_proxy`; eta enters through the scale ``2/mu``
+    alone.  The ratio is capped at 1 so that R(z) <= z holds to the last bit.
+
+    With alpha = d/2 - 1 and ``v = f_alpha^(-1)(2 z / mu)`` from the cached
+    order-alpha evaluator, ``f_alpha' = alpha f_(alpha-1)`` gives
+    ``H = v + log Gamma(d/2) + log(mu/2)`` (the chemical potential) and
+    ``P = (mu/2) f_(d/2)(v) / (d/2)`` (the ideal Fermi gas pressure; the
+    order-d/2 evaluator is built on first use).  Below the proxy's window the
+    ratio is exactly 1 (including where ``2 z / mu`` underflows to 0), and
+    there R = z, H = log z and P = z exactly.  The defect is a pure rescaling
+    of the dimension's, so ``C_eta = (2/mu)^(2/d) C(d)`` with C(d) from
+    :func:`fermi.bound_constant_C`.
+    """
+
+    def __init__(self, model: ModelSpec, cfg: NumericsConfig):
+        self.d = model.d
+        self.mu = model.mu
+        self.cfg = cfg
+        self.proxy = fermi.cached_ratio_proxy(model.d, cfg)
         self._ratio = self.proxy.ratio
         self._wscale = 2.0 / self.mu
+        self._w_lo = math.exp(self.proxy.window[0])
+        self._inner = fermi.cached_evaluator(model.d / 2.0 - 1.0, cfg)
+        self._h_shift = math.lgamma(model.d / 2.0) + math.log(0.5 * self.mu)
 
     def R(self, z: float) -> float:
         return z * min(self._ratio(self._wscale * z), 1.0)
 
+    def S(self, z: float) -> float:
+        return z - self.R(z)
+
+    def H(self, z: float) -> float:
+        w = self._wscale * z
+        if w <= self._w_lo:
+            return math.log(z)
+        return self._inner.inverse(w) + self._h_shift
+
+    def P(self, z: float) -> float:
+        w = self._wscale * z
+        if w <= self._w_lo:
+            return z
+        half_d = 0.5 * self.d
+        outer = fermi.cached_evaluator(half_d, self.cfg)
+        return 0.5 * self.mu * outer.value(self._inner.inverse(w)) / half_d
+
+    def majorant(self) -> float:
+        return self._wscale ** (2.0 / self.d) * fermi.bound_constant_C(self.d, self.cfg)[0]
+
+
+# The classical kind has eta = 0 by construction, so it never needs an entry.
+_QUANTUM_STATISTICS = {ModelKind.SIMPLIFIED_FD: _SimplifiedFd, ModelKind.FULL_FD: _FullFd}
+
 
 @lru_cache(maxsize=64)
-def _full_fd_kernel(d: int, eta: float, cfg: NumericsConfig) -> _FullFdKernel:
-    return _FullFdKernel(d, eta, cfg)
+def _statistics(model: ModelSpec, cfg: NumericsConfig):
+    """The statistics object of a model: classical wherever eta = 0."""
+    if model.eta == 0.0:
+        return _Classical()
+    return _QUANTUM_STATISTICS[model.kind](model, cfg)
 
 
 def _check_z(z: float) -> float:
@@ -193,14 +294,7 @@ def _check_z(z: float) -> float:
 
 def R_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     """Response R(z) of the given model; R(0) = 0, strictly increasing."""
-    z = _check_z(z)
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        return z
-    if model.kind is ModelKind.SIMPLIFIED_FD:
-        if z == 0.0:
-            return 0.0
-        return z / (1.0 + model.eta * z ** (1.0 - 1.0 / model.d))
-    return _full_fd_kernel(model.d, model.eta, cfg).R(z)
+    return _statistics(model, cfg).R(_check_z(z))
 
 
 def response_fn(model: ModelSpec, cfg: NumericsConfig = DEFAULT_CONFIG) -> Callable[[float], float]:
@@ -209,13 +303,7 @@ def response_fn(model: ModelSpec, cfg: NumericsConfig = DEFAULT_CONFIG) -> Calla
     Skips per-call validation; callers guarantee z >= 0 and finite.  Agrees
     with :func:`R_value` at every argument.
     """
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        return lambda z: z
-    if model.kind is ModelKind.SIMPLIFIED_FD:
-        eta = model.eta
-        p = 1.0 - 1.0 / model.d
-        return lambda z: z / (1.0 + eta * z ** p)
-    return _full_fd_kernel(model.d, model.eta, cfg).R
+    return _statistics(model, cfg).R
 
 
 def S_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
@@ -225,53 +313,28 @@ def S_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) ->
     ``S = eta z^(2-1/d) / (1 + eta z^(1-1/d))``, which stays fully accurate
     where z and R(z) agree to many digits.
     """
-    z = _check_z(z)
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        return 0.0
-    if model.kind is ModelKind.SIMPLIFIED_FD:
-        if z == 0.0:
-            return 0.0
-        u = model.eta * z ** (1.0 - 1.0 / model.d)
-        return z * u / (1.0 + u)
-    return z - _full_fd_kernel(model.d, model.eta, cfg).R(z)
+    return _statistics(model, cfg).S(_check_z(z))
 
 
 def H_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     """Enthalpy-like primitive H with H'(z) R(z) = 1 and H - log z -> 0 as z -> 0.
 
     Classical: ``log z``.  Simplified: the closed antiderivative
-    ``log z + (d/(d-1)) eta z^(1-1/d)``.  Full: ``log z`` plus the quadrature
-    of ``1/R - 1/t`` from the origin (the integrand tends to a finite
-    constant there).
+    ``log z + (d/(d-1)) eta z^(1-1/d)``.  Full: the chemical potential
+    ``v + log Gamma(d/2) + log(mu/2)`` with ``v = f_(d/2-1)^(-1)(2 z / mu)``.
     """
     z = _check_z(z)
     if z == 0.0:
         raise DomainError("H diverges at z = 0")
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        return math.log(z)
-    if model.kind is ModelKind.SIMPLIFIED_FD:
-        d = model.d
-        return math.log(z) + d / (d - 1.0) * model.eta * z ** (1.0 - 1.0 / d)
-    kernel = _full_fd_kernel(model.d, model.eta, cfg)
-
-    def defect_rate(t: float) -> float:
-        r = kernel.R(t)
-        return (t - r) / (r * t)
-
-    correction = _finite_quad(defect_rate, z, cfg)
-    return math.log(z) + correction
-
-
-def _sfd_pressure_primitive(d: int, eta: float, z: float) -> float:
-    """P(z) for the simplified kind: S/R = eta t^(1-1/d) integrates in closed form."""
-    return z + eta * d / (2.0 * d - 1.0) * z ** (2.0 - 1.0 / d)
+    return _statistics(model, cfg).H(z)
 
 
 def pressure(model: ModelSpec, rho: float, theta: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     """Barotropic pressure p = theta^(d/2+1) P(rho theta^(-d/2)).
 
-    ``P(z) = int_0^z t / R(t) dt = z + int_0^z S/R dt``; the classical kind
-    gives the ideal-gas law p = rho theta exactly.
+    ``P(z) = int_0^z t / R(t) dt``: ``z`` for the classical kind (the
+    ideal-gas law p = rho theta), ``z + eta d/(2d-1) z^(2-1/d)`` for the
+    simplified kind and ``(mu/2) f_(d/2)(v) / (d/2)`` for the full kind.
     """
     if not (math.isfinite(rho) and rho >= 0.0):
         raise DomainError(f"need rho >= 0, got {rho!r}")
@@ -281,85 +344,16 @@ def pressure(model: ModelSpec, rho: float, theta: float, cfg: NumericsConfig = D
     z = rho * theta ** (-d / 2.0)
     if z == 0.0:
         return 0.0
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        big_p = z
-    elif model.kind is ModelKind.SIMPLIFIED_FD:
-        big_p = _sfd_pressure_primitive(d, model.eta, z)
-    else:
-        def excess(t: float) -> float:
-            return S_value(model, t, cfg) / R_value(model, t, cfg)
-
-        big_p = z + _finite_quad(excess, z, cfg)
-    return theta ** (d / 2.0 + 1.0) * big_p
-
-
-def _finite_quad(f, upper: float, cfg: NumericsConfig) -> float:
-    """Quadrature over [0, upper] via the semi-infinite kernel with a cut tail.
-
-    Only the proxy-backed full-kind integrands come through here; their
-    evaluation noise sits near 1e-12 relative, so the requested tolerance is
-    floored at 1e-8 to keep the adaptive refinement from chasing noise.
-    """
-    if cfg.quad_rel_tol < 1e-8:
-        cfg = replace(cfg, quad_rel_tol=1e-8)
-
-    def clipped(t: float) -> float:
-        return f(t) if t < upper else 0.0
-
-    value, _ = integrate_semi_infinite(clipped, upper, cfg)
-    return value
-
-
-# Scan policy for the defect majorant: log-spaced z in [1e-8, 1e10].
-_MAJORANT_DECADES = (-8.0, 10.0)
-_MAJORANT_PER_DECADE = 400
+    return theta ** (d / 2.0 + 1.0) * _statistics(model, cfg).P(z)
 
 
 def C_eta_majorant(model: ModelSpec, cfg: NumericsConfig = DEFAULT_CONFIG) -> tuple[float, str]:
-    """Smallest scanned constant with S(z) <= C * z^(1+2/d) on the grid.
+    """Least constant C_eta with S(z) <= C_eta z^(1+2/d) for every z > 0.
 
-    Scans ``z^(-1-2/d) S(z)`` over the log-spaced grid, refines around the
-    best cell by golden section, and returns ``(C_eta, form)`` where form
-    describes the majorant shape.  The classical kind returns 0.
+    Returns ``(C_eta, form)`` where form describes the majorant shape; both
+    constants follow from scaling (see the statistics objects): the classical
+    kind gives 0, the simplified kind
+    ``eta^(2/(d-1)) p^p (1-p)^(1-p)`` with p = (d-3)/(d-1), and the full kind
+    ``(2/mu)^(2/d) C(d)``.
     """
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN or model.eta == 0.0:
-        return 0.0, GAP_MAJORANT_FORM
-    lo_dec, hi_dec = _MAJORANT_DECADES
-    n = int((hi_dec - lo_dec) * _MAJORANT_PER_DECADE) + 1
-    expo = -1.0 - 2.0 / model.d
-
-    if model.kind is ModelKind.SIMPLIFIED_FD:
-        zs = np.logspace(lo_dec, hi_dec, n)
-        u = model.eta * zs ** (1.0 - 1.0 / model.d)
-        values = zs ** (expo + 2.0 - 1.0 / model.d) * model.eta / (1.0 + u)
-        values = np.asarray(values)
-    else:
-        zs = np.logspace(lo_dec, hi_dec, n)
-        kernel = _full_fd_kernel(model.d, model.eta, cfg)
-        values = np.array([z ** expo * (z - kernel.R(z)) for z in zs])
-
-    def objective(z: float) -> float:
-        return z ** expo * S_value(model, z, cfg)
-
-    best = int(np.argmax(values))
-    lo = math.log(zs[max(best - 1, 0)])
-    hi = math.log(zs[min(best + 1, n - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc = objective(math.exp(c))
-    fe = objective(math.exp(e))
-    for _ in range(50):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(math.exp(c))
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = objective(math.exp(e))
-    peak = float(max(float(values[best]), fc, fe))
-    if peak < 0.0:
-        raise DomainError("defect objective negative over the whole scan")
-    return peak, GAP_MAJORANT_FORM
+    return _statistics(model, cfg).majorant(), GAP_MAJORANT_FORM

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from fermicloud.fermi import (
     CLASSICAL_CUTOFF,
@@ -190,7 +191,8 @@ class TestZetaMap:
 
 class TestBoundConstant:
     def test_d3_regression_pin(self):
-        # frozen value from the scan + golden-section refinement
+        # frozen value of the earlier quadrature route (zeta_map scan plus
+        # golden-section refinement)
         C, accuracy = bound_constant_C(3)
         assert C == pytest.approx(0.27970924497031097, rel=1e-9)
         assert 0.0 < accuracy <= 0.01
@@ -216,6 +218,23 @@ class TestBoundConstant:
         w = 1e-6
         obj = w ** (-1.0 - 2.0 / 3) * (w - 0.5 * zeta_map(3, w))
         assert obj == pytest.approx(w ** (1.0 / 3.0) / math.sqrt(2.0 * math.pi), rel=1e-3)
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_matches_quadrature_scan(self, d):
+        # oracle: a coarse log scan of the zeta_map defect, refined on the
+        # quadrature itself
+        def defect(t):
+            w = math.exp(t)
+            return w ** (-1.0 - 2.0 / d) * (w - 0.5 * (d - 2) * zeta_map(d, w))
+
+        ts = np.linspace(math.log(1e-6), math.log(1e8), 29)
+        k = int(np.argmax([defect(float(t)) for t in ts]))
+        peak = minimize_scalar(
+            lambda t: -defect(t), bounds=(ts[k - 1], ts[k + 1]), method="bounded",
+            options={"xatol": 1e-8},
+        )
+        C, _ = bound_constant_C(d)
+        assert C == pytest.approx(-peak.fun, rel=1e-10)
 
     def test_positive_for_all_dimensions(self):
         for d in range(3, 10):
@@ -254,6 +273,11 @@ class TestFermiEvaluator:
 
     def test_cached_evaluator_is_shared(self):
         assert cached_evaluator(0.5) is cached_evaluator(0.5)
+
+    def test_cache_keys_normalized(self):
+        # a defaulted and an explicit configuration share one instance
+        assert cached_evaluator(0.5) is cached_evaluator(0.5, DEFAULT_CONFIG)
+        assert cached_ratio_proxy(3) is cached_ratio_proxy(3, DEFAULT_CONFIG)
 
 
 def composed_ratio(d, w):

@@ -177,8 +177,8 @@ class TestResponse:
 class TestFullKindProxy:
     @pytest.mark.parametrize("d", range(3, 10))
     def test_one_proxy_per_dimension(self, d):
-        strong = models._full_fd_kernel(d, 1e-2, DEFAULT_CONFIG)
-        weak = models._full_fd_kernel(d, 1e-4, DEFAULT_CONFIG)
+        strong = models._statistics(ModelSpec.full_fd(d, 1e-2), DEFAULT_CONFIG)
+        weak = models._statistics(ModelSpec.full_fd(d, 1e-4), DEFAULT_CONFIG)
         assert strong.proxy is weak.proxy is cached_ratio_proxy(d, DEFAULT_CONFIG)
 
     @pytest.mark.parametrize("d", range(3, 10))
@@ -329,3 +329,78 @@ class TestGapMajorant:
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-3
+
+    @pytest.mark.parametrize("eta", [1.0, 1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("d", range(3, 10))
+    @pytest.mark.parametrize("kind", ["sfd", "ffd"])
+    def test_least_majorant_on_dense_grid(self, kind, d, eta):
+        # the defect z^(-1-2/d) S peaks near z ~ mu (ffd) or eta^(-d/(d-1))
+        # (sfd), far outside any fixed z window once eta is small
+        model = ModelSpec(kind, d, eta)
+        scale = model.mu if model.kind is ModelKind.FULL_FD else eta ** (-d / (d - 1.0))
+        C, _ = C_eta_majorant(model)
+        ratios = [
+            S_value(model, float(z)) / (C * float(z) ** (1.0 + 2.0 / d))
+            for z in scale * np.logspace(-3.0, 3.0, 2001)
+        ]
+        assert max(ratios) <= 1.0 + 1e-9
+        assert max(ratios) >= 0.98
+
+
+class TestFullKindClosedForms:
+    """H and P of the full kind from v = f_(d/2-1)^(-1)(2 z / mu)."""
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_match_quadrature_special_functions(self, d):
+        # H = v + log Gamma(d/2) + log(mu/2), P = (mu/2) f_(d/2)(v) / (d/2)
+        model = ModelSpec.full_fd(d, 1e-2)
+        for w in (1e-6, 1e-3, 0.5, 20.0, 1e4):
+            z = 0.5 * model.mu * w
+            v = fermi_f_inverse(d / 2.0 - 1.0, w)
+            expected_h = v + math.lgamma(d / 2.0) + math.log(0.5 * model.mu)
+            expected_p = 0.5 * model.mu * fermi_f(d / 2.0, v) / (d / 2.0)
+            assert H_value(model, z) == pytest.approx(expected_h, rel=1e-10, abs=1e-10)
+            assert pressure(model, z, 1.0) == pytest.approx(expected_p, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_integral_definitions(self, d):
+        # P(z) = int_0^z t / R dt and H(z) - H(a) = int_a^z dt / R
+        model = ModelSpec.full_fd(d, 1e-2)
+        a, z = 0.5 * model.mu * 1e-3, 0.5 * model.mu * 5.0
+        p_quad, _ = quad(lambda t: t / R_value(model, t), 0.0, z, epsabs=0, epsrel=1e-11, limit=200)
+        h_quad, _ = quad(lambda t: 1.0 / R_value(model, t), a, z, epsabs=0, epsrel=1e-11, limit=200)
+        assert pressure(model, z, 1.0) == pytest.approx(p_quad, rel=1e-9)
+        assert H_value(model, z) - H_value(model, a) == pytest.approx(h_quad, rel=1e-9)
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_derivative_identities(self, d):
+        # H' R = 1 and P' = z / R by centred differences, from the classical
+        # end of the proxy window to past its degenerate end
+        model = ModelSpec.full_fd(d, 1e-2)
+        for w in (1e-9, 1e-4, 0.05, 1.0, 30.0, 1e3, 1e6):
+            z = 0.5 * model.mu * w
+            h = 1e-4 * z
+            r = R_value(model, z)
+            dh = (H_value(model, z + h) - H_value(model, z - h)) / (2.0 * h)
+            dp = (pressure(model, z + h, 1.0) - pressure(model, z - h, 1.0)) / (2.0 * h)
+            assert dh * r == pytest.approx(1.0, rel=1e-7)
+            assert dp * r / z == pytest.approx(1.0, rel=1e-7)
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_classical_below_window(self, d):
+        # the ratio is exactly 1 there, so H = log z and P = z exactly
+        model = ModelSpec.full_fd(d, 1e-2)
+        for z in (5e-324, 1e-200, 1e-20):
+            assert H_value(model, z) == math.log(z)
+            assert pressure(model, z, 1.0) == z
+
+    def test_probe_has_no_failures(self):
+        # every call returns a finite value; R <= z makes H >= log z and P >= z
+        for d in (3, 5, 9):
+            for eta in (1e-1, 1e-2, 1e-3, 1e-4):
+                model = ModelSpec.full_fd(d, eta)
+                for z in (1e-6, 1e-4, 1e-3, 1e-2, 0.5, 2.0, 20.0):
+                    h = H_value(model, z)
+                    p = pressure(model, z, 1.0)
+                    assert math.isfinite(h) and h - math.log(z) >= -1e-12
+                    assert math.isfinite(p) and p >= z * (1.0 - 1e-12)
