@@ -29,6 +29,7 @@ from .numerics import (
     ConfigError,
     NumericsConfig,
     NumericsError,
+    find_root_monotone,
 )
 
 __all__ = [
@@ -46,10 +47,6 @@ __all__ = [
 ]
 
 MASS_CURVE_CSV_HEADER = "rho,mass"
-
-# Root refinement target: half of this bounds the reported root's relative
-# error, keeping independently refined brackets within 1e-6 of each other.
-_ROOT_REL_TOL = 2.5e-7
 
 # Half-width for centered differences in the residual audit.  Wider than the
 # trajectory-level value: the quotient noise of interpolated differences drops
@@ -108,9 +105,13 @@ class MassCurve:
         return float(masses.min()), float(masses.max())
 
     def to_csv(self, destination) -> None:
-        """Write ``rho,mass`` rows at 17 significant digits."""
+        """Write ``rho,mass`` rows at 17 significant digits, in rho order.
+
+        A failed grid point keeps its row as ``rho,nan``.
+        """
+        rows = sorted(self.points + tuple((r, math.nan) for r, _ in self.failures))
         lines = [MASS_CURVE_CSV_HEADER]
-        lines.extend("%.17g,%.17g" % p for p in self.points)
+        lines.extend("%.17g,%.17g" % p for p in rows)
         _write_text(destination, "\n".join(lines) + "\n")
 
     def to_json_dict(self) -> dict:
@@ -296,13 +297,14 @@ def count_solutions(
     """Count and locate densities whose equilibrium mass equals ``M_target``.
 
     Sign changes of M(rho) - M_target between adjacent curve points are each
-    refined by bisection in log rho, re-integrating the shooting map rather
-    than interpolating the curve, until the bracket is relatively tighter
-    than 2.5e-7; the returned roots are accurate to rho-relative 1e-6 and
-    listed in increasing order.  A target outside the sampled mass range
-    yields multiplicity 0 (the diagnostic being the returned empty root
-    list); crossings between grid points can only be seen at the grid's
-    resolution, so refine the grid to resolve suspected near-tangencies.
+    refined by Brent's method in u = log rho, re-integrating the shooting map
+    rather than interpolating the curve.  Brent stops at ``cfg.root_tol`` in
+    u (absolute plus relative), so that tolerance and the accuracy of the
+    shooting map itself set the roots' relative error.  Roots are listed in
+    increasing order.  A target outside the sampled mass range yields multiplicity 0
+    (the diagnostic being the returned empty root list); crossings between
+    grid points can only be seen at the grid's resolution, so refine the grid
+    to resolve suspected near-tangencies.
     """
     if not curve.points:
         raise ConfigError("curve has no points")
@@ -313,6 +315,14 @@ def count_solutions(
     lo_mass, hi_mass = curve.mass_range()
     if M_target < lo_mass or M_target > hi_mass:
         return 0, ()
+    log_rhos = np.log(rhos)
+    known = dict(zip(log_rhos.tolist(), gaps.tolist()))  # bracket ends: already shot
+
+    def gap(u: float) -> float:
+        if u in known:
+            return known[u]
+        return mass_of_density(curve.model, math.exp(u), cfg, curve.s_start) - M_target
+
     roots: list[float] = []
     for i in range(len(gaps) - 1):
         ga, gb = gaps[i], gaps[i + 1]
@@ -321,18 +331,8 @@ def count_solutions(
             continue
         if ga * gb >= 0.0:
             continue
-        a, b = float(rhos[i]), float(rhos[i + 1])
-        while b / a - 1.0 > _ROOT_REL_TOL:
-            mid = math.sqrt(a * b)
-            gm = mass_of_density(curve.model, mid, cfg, curve.s_start) - M_target
-            if gm == 0.0:
-                a = b = mid
-                break
-            if (gm < 0.0) == (ga < 0.0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        roots.append(math.sqrt(a * b))
+        u = find_root_monotone(gap, float(log_rhos[i]), float(log_rhos[i + 1]), cfg)
+        roots.append(math.exp(u))
     if gaps[-1] == 0.0 and (len(gaps) < 2 or gaps[-2] != 0.0):
         roots.append(float(rhos[-1]))
     return len(roots), tuple(roots)

@@ -19,73 +19,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .bifurcation import count_solutions, mass_curve, mass_of_density
 from .bifurcation import convergence_study as run_convergence_study
-from .dynamics import integrate_trajectory, radial_Q_integrate
+from .dynamics import _write_text, integrate_trajectory, radial_Q_integrate
 from .models import ModelKind, ModelSpec, sigma_d
 from .numerics import DEFAULT_CONFIG, ConfigError, NumericsConfig, NumericsError
 
 __all__ = ["RunConfig", "build_parser", "main"]
-
-_NUMERICS_KEYS = (
-    "quad_rel_tol",
-    "quad_split_margin",
-    "root_tol",
-    "ode_rel_tol",
-    "ode_abs_tol",
-    "max_steps",
-)
-
-# Casters double as the registry of recognized config-file keys.
-_CASTERS = {
-    "kind": str,
-    "d": int,
-    "eta": float,
-    "rho": float,
-    "rho_min": float,
-    "rho_max": float,
-    "points_per_decade": int,
-    "mass": float,
-    "s_start": float,
-    "s_end": float,
-    "etas": None,
-    "out": str,
-    "format": str,
-    "quad_rel_tol": float,
-    "quad_split_margin": float,
-    "root_tol": float,
-    "ode_rel_tol": float,
-    "ode_abs_tol": float,
-    "max_steps": int,
-}
-
-_DEFAULTS = {
-    "kind": "mb",
-    "d": 3,
-    "eta": None,
-    "rho": 1.0,
-    "rho_min": 1e-2,
-    "rho_max": 1e8,
-    "points_per_decade": 16,
-    "mass": None,
-    "s_start": -20.0,
-    "s_end": 0.0,
-    "etas": None,
-    "out": None,
-    "format": None,
-}
-
-_DEFAULT_FORMATS = {
-    "mass-curve": "csv",
-    "phase": "csv",
-    "multiplicity": "json",
-    "converge": "json",
-    "crosscheck": "json",
-}
 
 
 def _parse_eta_list(value) -> tuple[float, ...]:
@@ -100,6 +44,42 @@ def _parse_eta_list(value) -> tuple[float, ...]:
     if not etas:
         raise ConfigError("eta list must not be empty")
     return etas
+
+
+class _Key(NamedTuple):
+    """One run key: its caster, default, flag help and the subcommands taking it."""
+
+    cast: Callable
+    default: object
+    help: str
+    commands: tuple[str, ...] | None = None  # None: every subcommand
+    choices: tuple[str, ...] | None = None
+    short: str | None = None
+
+
+_CURVE = ("mass-curve", "multiplicity")
+
+# The run keys in flag order.  A key's flag is ``--`` and the key with ``-``
+# for ``_``; a config file takes the keys themselves and the fields of
+# NumericsConfig.
+_KEYS = {
+    "kind": _Key(str, "mb", "statistics family", choices=("mb", "sfd", "ffd")),
+    "d": _Key(int, 3, "spatial dimension (3..9)"),
+    "eta": _Key(float, None, "degeneracy parameter"),
+    "s_start": _Key(float, -20.0, "launch log-radius"),
+    "out": _Key(str, None, "artifact path (default: stdout)", short="-o"),
+    "format": _Key(str, None, "artifact format", choices=("csv", "json")),
+    "rho_min": _Key(float, 1e-2, "low end of density scan", _CURVE),
+    "rho_max": _Key(float, 1e8, "high end of density scan", _CURVE),
+    "points_per_decade": _Key(int, 16, "grid density", _CURVE),
+    "mass": _Key(float, None, "target mass", _CURVE),
+    "rho": _Key(float, 1.0, "scaled central density", ("phase", "converge", "crosscheck")),
+    "s_end": _Key(float, 0.0, "final log-radius", ("phase",)),
+    "etas": _Key(_parse_eta_list, None, "comma-separated decreasing eta ladder", ("converge",)),
+}
+
+_NUMERICS_CASTS = {f.name: type(f.default) for f in dataclasses.fields(NumericsConfig)}
+_FILE_CASTS = {**{key: spec.cast for key, spec in _KEYS.items()}, **_NUMERICS_CASTS}
 
 
 def load_config_file(path: str) -> dict:
@@ -127,13 +107,12 @@ def load_config_file(path: str) -> dict:
             raw[key.strip()] = value.strip()
     out = {}
     for key, value in raw.items():
-        if key not in _CASTERS:
+        if key not in _FILE_CASTS:
             raise ConfigError(f"unknown config key {key!r} in {path!r}")
-        if key == "etas":
-            out[key] = _parse_eta_list(value)
-            continue
         try:
-            out[key] = _CASTERS[key](value)
+            out[key] = _FILE_CASTS[key](value)
+        except ConfigError:
+            raise  # the eta list parser's own message
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r}: {exc}") from exc
     return out
@@ -162,40 +141,19 @@ class RunConfig:
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         file_map = load_config_file(args.config) if args.config else {}
-
-        def pick(key):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                return flag
-            if key in file_map:
-                return file_map[key]
-            return _DEFAULTS[key]
-
-        overrides = {k: file_map[k] for k in _NUMERICS_KEYS if k in file_map}
-        numerics = (
-            dataclasses.replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
-        )
-        etas = pick("etas")
-        fmt = pick("format") or _DEFAULT_FORMATS[args.command]
+        values = {}
+        for key, spec in _KEYS.items():
+            value = getattr(args, key, None)
+            if value is None:
+                value = file_map.get(key, spec.default)
+            values[key] = None if value is None else spec.cast(value)
+        _handler, default_format, _help = _COMMANDS[args.command]
+        fmt = values["format"] = values["format"] or default_format
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-        return cls(
-            command=args.command,
-            kind=str(pick("kind")),
-            d=int(pick("d")),
-            eta=pick("eta"),
-            rho=float(pick("rho")),
-            rho_min=float(pick("rho_min")),
-            rho_max=float(pick("rho_max")),
-            points_per_decade=int(pick("points_per_decade")),
-            mass=pick("mass"),
-            s_start=float(pick("s_start")),
-            s_end=float(pick("s_end")),
-            etas=_parse_eta_list(etas) if etas is not None else None,
-            out=pick("out"),
-            format=fmt,
-            numerics=numerics,
-        )
+        overrides = {k: file_map[k] for k in _NUMERICS_CASTS if k in file_map}
+        numerics = dataclasses.replace(DEFAULT_CONFIG, **overrides)
+        return cls(command=args.command, numerics=numerics, **values)
 
     def model_spec(self) -> ModelSpec:
         try:
@@ -210,40 +168,24 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Effective configuration as embedded in JSON artifacts."""
-        return {
-            "command": self.command,
-            "kind": self.kind,
-            "d": self.d,
-            "eta": self.eta,
-            "rho": self.rho,
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
-            "points_per_decade": self.points_per_decade,
-            "mass": self.mass,
-            "s_start": self.s_start,
-            "s_end": self.s_end,
-            "etas": list(self.etas) if self.etas is not None else None,
-            "format": self.format,
-            "numerics": dataclasses.asdict(self.numerics),
-        }
+        config = dataclasses.asdict(self)
+        del config["out"]
+        return config
 
 
-def _emit(run: RunConfig, render, summary_lines) -> None:
+def _emit(run: RunConfig, write, summary_lines) -> None:
     """Write the artifact to --out (summary to stdout) or to stdout alone."""
-    if run.out is None:
-        render(sys.stdout)
-        return
-    with open(run.out, "w", encoding="utf-8") as fh:
-        render(fh)
-    for line in summary_lines:
-        print(line)
+    write(sys.stdout if run.out is None else run.out)
+    if run.out is not None:
+        for line in summary_lines:
+            print(line)
 
 
 def _emit_json(run: RunConfig, payload: dict, summary_lines) -> None:
     payload = dict(payload)
     payload["config"] = run.echo()
     text = json.dumps(payload, indent=2) + "\n"
-    _emit(run, lambda fh: fh.write(text), summary_lines)
+    _emit(run, lambda destination: _write_text(destination, text), summary_lines)
 
 
 def cmd_mass_curve(run: RunConfig) -> int:
@@ -281,7 +223,7 @@ def cmd_phase(run: RunConfig) -> int:
         "end state: s=%.6g x=%.9g y=%.9g" % (end.s, end.x, end.y),
     ]
     lyap = model.kind is ModelKind.MAXWELL_BOLTZMANN
-    _emit(run, lambda fh: traj.to_csv(fh, lyapunov_column=lyap), summary)
+    _emit(run, lambda destination: traj.to_csv(destination, lyapunov_column=lyap), summary)
     return 0
 
 
@@ -331,12 +273,13 @@ def cmd_crosscheck(run: RunConfig) -> int:
     return 0
 
 
+# Each subcommand: its handler, default artifact format and help line.
 _COMMANDS = {
-    "mass-curve": cmd_mass_curve,
-    "phase": cmd_phase,
-    "multiplicity": cmd_multiplicity,
-    "converge": cmd_converge,
-    "crosscheck": cmd_crosscheck,
+    "mass-curve": (cmd_mass_curve, "csv", "scan the mass-density curve"),
+    "phase": (cmd_phase, "csv", "write one trajectory as CSV"),
+    "multiplicity": (cmd_multiplicity, "json", "count equilibria at a target mass"),
+    "converge": (cmd_converge, "json", "classical-limit gap study"),
+    "crosscheck": (cmd_crosscheck, "json", "dynamical vs radial mass agreement"),
 }
 
 
@@ -346,46 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibria of self-attracting particle clouds: curves, portraits, audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--kind", choices=("mb", "sfd", "ffd"), help="statistics family")
-        sp.add_argument("--d", type=int, help="spatial dimension (3..9)")
-        sp.add_argument("--eta", type=float, help="degeneracy parameter")
-        sp.add_argument("--s-start", type=float, dest="s_start", help="launch log-radius")
-        sp.add_argument("--out", "-o", help="artifact path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), help="artifact format")
+    for command, (_handler, _format, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        for key, spec in _KEYS.items():
+            if spec.commands is not None and command not in spec.commands:
+                continue
+            flags = ["--" + key.replace("_", "-")] + ([spec.short] if spec.short else [])
+            # --etas stays a string until RunConfig casts it, so that a bad
+            # list is the same ConfigError from a flag as from a file.
+            flag_type = None if spec.cast is _parse_eta_list else spec.cast
+            sp.add_argument(
+                *flags, dest=key, type=flag_type, choices=spec.choices, help=spec.help
+            )
         sp.add_argument("--config", help="config file (JSON object or key=value lines)")
-
-    def curve_flags(sp):
-        sp.add_argument("--rho-min", type=float, dest="rho_min", help="low end of density scan")
-        sp.add_argument("--rho-max", type=float, dest="rho_max", help="high end of density scan")
-        sp.add_argument(
-            "--points-per-decade", type=int, dest="points_per_decade", help="grid density"
-        )
-        sp.add_argument("--mass", type=float, help="target mass")
-
-    sp = sub.add_parser("mass-curve", help="scan the mass-density curve")
-    common(sp)
-    curve_flags(sp)
-
-    sp = sub.add_parser("phase", help="write one trajectory as CSV")
-    common(sp)
-    sp.add_argument("--rho", type=float, help="scaled central density")
-    sp.add_argument("--s-end", type=float, dest="s_end", help="final log-radius")
-
-    sp = sub.add_parser("multiplicity", help="count equilibria at a target mass")
-    common(sp)
-    curve_flags(sp)
-
-    sp = sub.add_parser("converge", help="classical-limit gap study")
-    common(sp)
-    sp.add_argument("--rho", type=float, help="shared central density rho0")
-    sp.add_argument("--etas", help="comma-separated decreasing eta ladder")
-
-    sp = sub.add_parser("crosscheck", help="dynamical vs radial mass agreement")
-    common(sp)
-    sp.add_argument("--rho", type=float, help="scaled central density")
-
     return parser
 
 
@@ -393,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = RunConfig.from_args(args)
-        return _COMMANDS[args.command](run)
+        return _COMMANDS[args.command][0](run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

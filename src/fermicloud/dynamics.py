@@ -256,8 +256,7 @@ def _plain_field(model: ModelSpec, cfg: NumericsConfig):
             z = y * math.exp(-2.0 * s)
         else:
             z = math.exp(math.log(y) - 2.0 * s)
-        # R(z) <= z holds exactly for the family; clamp shaves evaluator noise.
-        ratio = min(resp(z) / z, 1.0) if z > 0.0 else 1.0
+        ratio = resp(z) / z if z > 0.0 else 1.0
         return dx, 2.0 * y - x * y * ratio
 
     return field
@@ -349,8 +348,7 @@ def integrate_trajectory(
     def scaled_rhs(s, u):
         xt, w = u
         yt = math.exp(w) if w > _LOG_TINY else 0.0
-        # R(z) <= z holds exactly for the family; clamp shaves evaluator noise.
-        ratio = min(resp(yt) / yt, 1.0) if yt > 0.0 else 1.0
+        ratio = resp(yt) / yt if yt > 0.0 else 1.0
         return yt - d * xt, -xt * math.exp(2.0 * s) * ratio
 
     scaled_leg = ode_integrate(

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -99,13 +99,13 @@ class ModelSpec:
 
     ``eta == 0`` is only legal for the classical and simplified kinds (where
     it reduces to the classical response); the full kind derives ``mu`` from
-    eta on construction.
+    eta on construction, and ``mu`` is None for the other kinds.
     """
 
     kind: ModelKind
     d: int
     eta: float = 0.0
-    mu: float | None = None
+    mu: float | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         _check_d(self.d)
@@ -114,23 +114,12 @@ class ModelSpec:
         kind = ModelKind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eta", float(self.eta))
-        if kind is ModelKind.MAXWELL_BOLTZMANN:
-            if self.eta != 0.0:
-                raise ConfigError("classical kind requires eta = 0")
-            if self.mu is not None:
-                raise ConfigError("classical kind takes no mu")
-        elif kind is ModelKind.FULL_FD:
+        if kind is ModelKind.MAXWELL_BOLTZMANN and self.eta != 0.0:
+            raise ConfigError("classical kind requires eta = 0")
+        if kind is ModelKind.FULL_FD:
             if not self.eta > 0.0:
                 raise ConfigError("full degenerate kind requires eta > 0")
-            mu = mu_from_eta(self.d, self.eta)
-            if self.mu is not None and not math.isclose(self.mu, mu, rel_tol=1e-12):
-                raise ConfigError(
-                    f"mu {self.mu!r} inconsistent with eta {self.eta!r} (expected {mu!r})"
-                )
-            object.__setattr__(self, "mu", mu)
-        else:
-            if self.mu is not None:
-                raise ConfigError("simplified kind takes no mu")
+            object.__setattr__(self, "mu", mu_from_eta(self.d, self.eta))
 
     @classmethod
     def maxwell_boltzmann(cls, d: int) -> "ModelSpec":

@@ -210,7 +210,10 @@ def find_root_monotone(
 
     The initial interval need not bracket: it is expanded geometrically in
     the direction indicated by the endpoint values until a sign change is
-    found (up to a fixed budget), then polished with Brent's method.
+    found (up to a fixed budget), then polished with Brent's method.  An
+    interval on which g already changes sign goes straight to Brent, so any
+    continuous g that changes sign on [lo, hi] is served too, monotone or
+    not; the root is then one of the roots inside the interval.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bracket endpoints must be finite, got {lo!r}, {hi!r}")

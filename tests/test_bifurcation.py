@@ -24,6 +24,7 @@ from fermicloud import (
     mass_of_density,
     sigma_d,
 )
+from fermicloud import bifurcation
 from fermicloud.bifurcation import MASS_CURVE_CSV_HEADER
 from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, NumericsError
 
@@ -133,6 +134,14 @@ class TestMassCurve:
         np.testing.assert_array_equal(data[:, 0], small_curve.rhos)
         np.testing.assert_array_equal(data[:, 1], small_curve.masses)
 
+    def test_csv_keeps_failed_rows(self):
+        curve = MassCurve(
+            MB3, ((1.0, 3.5), (4.0, 7.25)), "manual", failures=((2.0, "StepLimitError: x"),)
+        )
+        buf = io.StringIO()
+        curve.to_csv(buf)
+        assert buf.getvalue() == "rho,mass\n1,3.5\n2,nan\n4,7.25\n"
+
     def test_json_structure(self, small_curve):
         doc = small_curve.to_json_dict()
         assert doc["model"]["kind"] == "mb"
@@ -168,6 +177,18 @@ class TestCountSolutions:
         target = 2.0 * sigma_d(3)
         _, roots = count_solutions(small_curve, target)
         assert mass_of_density(MB3, roots[0]) == pytest.approx(target, rel=1e-5)
+
+    def test_brent_refinement_shoot_budget(self, small_curve, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mass_of_density(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "mass_of_density", counted)
+        n, _ = count_solutions(small_curve, 2.0 * sigma_d(3))
+        assert n == 1
+        assert len(calls) <= 10 * n
 
     def test_target_outside_range(self, small_curve):
         lo, hi = small_curve.mass_range()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: subcommands, config merging, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,9 +10,9 @@ import sys
 import pytest
 
 from fermicloud import sigma_d
-from fermicloud.cli import RunConfig, load_config_file, main
+from fermicloud.cli import RunConfig, build_parser, load_config_file, main
 from fermicloud.dynamics import TRAJECTORY_CSV_HEADER
-from fermicloud.numerics import ConfigError
+from fermicloud.numerics import ConfigError, NumericsConfig
 
 CURVE_ARGS = ["--rho-min", "1", "--rho-max", "10", "--points-per-decade", "4"]
 
@@ -200,12 +202,57 @@ class TestConfigMerging:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"ode_rel_tol": 1e-6, "max_steps": 500}))
         parser_args = ["crosscheck", "--config", str(cfg), "--rho", "1"]
-        from fermicloud.cli import build_parser
-
         run = RunConfig.from_args(build_parser().parse_args(parser_args))
         assert run.numerics.ode_rel_tol == 1e-6
         assert run.numerics.max_steps == 500
         assert run.numerics.quad_rel_tol == 1e-10  # untouched default
+
+
+class TestKeyTable:
+    COMMON = {"-h", "--help", "--kind", "--d", "--eta", "--s-start", "--out", "-o",
+              "--format", "--config"}
+    CURVE = {"--rho-min", "--rho-max", "--points-per-decade", "--mass"}
+
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {o for action in sp._actions for o in action.option_strings}
+            for name, sp in sub.choices.items()
+        }
+        assert options == {
+            "mass-curve": self.COMMON | self.CURVE,
+            "phase": self.COMMON | {"--rho", "--s-end"},
+            "multiplicity": self.COMMON | self.CURVE,
+            "converge": self.COMMON | {"--rho", "--etas"},
+            "crosscheck": self.COMMON | {"--rho"},
+        }
+
+    def test_config_file_takes_run_and_numerics_keys(self, tmp_path):
+        run_keys = {
+            "kind": "sfd", "d": 5, "eta": 0.5, "rho": 2.0, "rho_min": 1.0, "rho_max": 9.0,
+            "points_per_decade": 6, "mass": 3.0, "s_start": -10.0, "s_end": 1.0,
+            "etas": [0.1, 0.01], "out": "a.csv", "format": "json",
+        }
+        numerics_keys = {f.name: f.default for f in dataclasses.fields(NumericsConfig)}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**run_keys, **numerics_keys}))
+        loaded = load_config_file(str(cfg))
+        assert set(loaded) == set(run_keys) | set(numerics_keys)
+        assert loaded["etas"] == (0.1, 0.01)
+        for extra in ("command", "config", "numerics", "help"):
+            cfg.write_text(json.dumps({extra: "1"}))
+            with pytest.raises(ConfigError, match=f"unknown config key '{extra}'"):
+                load_config_file(str(cfg))
+
+    def test_echo_omits_out_and_keeps_field_order(self, tmp_path):
+        out = tmp_path / "conv.json"
+        assert main(["converge", "--kind", "sfd", "--rho", "1", "--etas", "1e-2",
+                     "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["config"]) == [
+            "command", "kind", "d", "eta", "rho", "rho_min", "rho_max",
+            "points_per_decade", "mass", "s_start", "s_end", "etas", "format", "numerics",
+        ]
 
 
 class TestExitCodes:

@@ -50,9 +50,10 @@ class TestModelSpec:
     def test_full_kind_fills_in_mu(self):
         assert FFD.mu == pytest.approx(mu_from_eta(3, 1e-2), rel=1e-15)
 
-    def test_inconsistent_mu_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelSpec(ModelKind.FULL_FD, 3, 1e-2, mu=1.0)
+    def test_mu_derived_not_settable(self):
+        with pytest.raises(TypeError):
+            ModelSpec(ModelKind.FULL_FD, 3, 1e-2, mu=mu_from_eta(3, 1e-2))
+        assert ModelSpec.full_fd(3, 1e-2).mu == mu_from_eta(3, 1e-2)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigError):
@@ -190,13 +191,23 @@ class TestFullKindProxy:
 
     @pytest.mark.parametrize("d", range(3, 10))
     def test_below_identity_and_strictly_increasing(self, d):
-        # the grid runs from below the proxy window to past its top at eta = 1e-2
-        model = ModelSpec.full_fd(d, 1e-2)
-        f = response_fn(model)
-        zs = np.logspace(-14.0, 18.0, 20001)
-        values = [f(float(z)) for z in zs]
-        assert all(r <= z for r, z in zip(values, zs))
-        assert all(b > a for a, b in zip(values, values[1:]))
+        # the dense grid runs from below the proxy window to past its top at
+        # eta = 1e-2; the wide one reaches subnormals, where the shooting
+        # fields' unclamped R(z)/z must still not round above 1
+        dense = np.logspace(-14.0, 18.0, 20001)
+        wide = np.geomspace(5e-324, 1e300, 2001)
+        for model in (
+            ModelSpec.maxwell_boltzmann(d),
+            ModelSpec.simplified_fd(d, 1e-2),
+            ModelSpec.simplified_fd(d, 1.0),
+            ModelSpec.full_fd(d, 1e-2),
+        ):
+            f = response_fn(model)
+            values = [f(float(z)) for z in dense]
+            assert all(b > a for a, b in zip(values, values[1:]))
+            for z in map(float, [*dense, *wide]):
+                r = f(z)
+                assert r <= z and r / z <= 1.0, (model, z, r)
 
 
 class TestGap:
