@@ -419,12 +419,12 @@ def apriori_bound_audit(
             max_relative_violation=0.0,
         )
     s_bar = max(
-        S_value(model, float(z), cfg) for z in np.linspace(0.0, rho0, _S_SCAN_POINTS)
+        S_value(model, float(z)) for z in np.linspace(0.0, rho0, _S_SCAN_POINTS)
     )
     traj = integrate_trajectory(model, rho, s_start=s_start, s_end=0.0, cfg=cfg)
     grid = comparison_grid(s_start)
     xt, yt = traj.sample_scaled(grid)
-    gap = np.array([S_value(model, float(z), cfg) for z in yt])
+    gap = np.array([S_value(model, float(z)) for z in yt])
     ratio = model.d * xt * gap / (rho0 * s_bar)
     sup_ratio = float(ratio.max())
     return AprioriBoundReport(

@@ -235,7 +235,7 @@ class Trajectory:
         _write_text(destination, "\n".join(lines) + "\n")
 
 
-def _plain_field(model: ModelSpec, cfg: NumericsConfig):
+def _plain_field(model: ModelSpec):
     """The field of :func:`rhs_nonautonomous` as a closure (s, (x, y)) -> (x', y').
 
     Classical statistics (eta = 0, which covers the classical kind) take the
@@ -243,7 +243,7 @@ def _plain_field(model: ModelSpec, cfg: NumericsConfig):
     """
     d = model.d
     classical = model.eta == 0.0
-    resp = response_fn(model, cfg)
+    resp = response_fn(model)
 
     def field(s, u):
         x, y = u
@@ -262,9 +262,7 @@ def _plain_field(model: ModelSpec, cfg: NumericsConfig):
     return field
 
 
-def rhs_nonautonomous(
-    model: ModelSpec, s: float, x: float, y: float, cfg: NumericsConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
+def rhs_nonautonomous(model: ModelSpec, s: float, x: float, y: float) -> tuple[float, float]:
     """Vector field of the driven system at one phase point.
 
     Returns ``((2-d)x + y, 2y - x e^{2s} R(e^{-2s} y))``, the field that
@@ -285,7 +283,7 @@ def rhs_nonautonomous(
         raise DomainError(f"need finite y >= 0, got {y!r}")
     if model.eta != 0.0 and y > 0.0 and math.log(y) - 2.0 * s > _LOG_HUGE:
         raise DomainError(f"response argument e^(-2 s) y overflows at s={s!r}")
-    return _plain_field(model, cfg)(s, (x, y))
+    return _plain_field(model)(s, (x, y))
 
 
 def rhs_autonomous(d: int, x: float, y: float) -> tuple[float, float]:
@@ -341,7 +339,7 @@ def integrate_trajectory(
     if not (isinstance(s_end, (int, float)) and math.isfinite(s_end) and s_end > s_start):
         raise ConfigError(f"need s_start < s_end, got {s_start!r} >= {s_end!r}")
     d = model.d
-    resp = response_fn(model, cfg)
+    resp = response_fn(model)
     rho = float(rho)
     split = min(float(s_end), 0.0)
 
@@ -366,7 +364,7 @@ def integrate_trajectory(
         # The y event tolerates exact underflow to 0.0 in the vacuum tail of
         # compact degenerate profiles; only a real negative excursion fires.
         plain_leg = ode_integrate(
-            _plain_field(model, cfg),
+            _plain_field(model),
             0.0,
             (float(xt_end), math.exp(float(w_end))),
             float(s_end),
@@ -536,7 +534,7 @@ def radial_Q_integrate(
     qp0 = rho * r0 ** (d - 1)
     if q0 == 0.0 or qp0 == 0.0:
         raise ConfigError(f"series data underflows at r0={r0!r} for d={d}")
-    resp = response_fn(model, cfg)
+    resp = response_fn(model)
     pw = d - 1
 
     def rhs(r, u):

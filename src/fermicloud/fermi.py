@@ -13,7 +13,7 @@ Evaluation strategy
 * ``z < -30``: return the nondegenerate limit directly; the first neglected
   correction is ``e^z / 2^(alpha+1)`` relative, below 1e-13 there.
 * ``-30 <= z <= 60``: adaptive quadrature.  The semi-infinite range is split
-  past the occupation edge at ``max(z, 0) + quad_split_margin``; the edge
+  past the occupation edge at ``max(z, 0) + 30``; the edge
   itself is passed to the quadrature as a known kink location.  For
   ``alpha < 0`` the substitution ``x = u^2`` removes the endpoint
   singularity first.
@@ -44,7 +44,7 @@ Hot-loop evaluators
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -52,9 +52,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .numerics import (
-    DEFAULT_CONFIG,
     DomainError,
-    NumericsConfig,
     NumericsError,
     find_root_monotone,
     integrate_semi_infinite,
@@ -75,6 +73,7 @@ __all__ = [
 
 CLASSICAL_CUTOFF = -30.0
 DEGENERATE_CUTOFF = 60.0
+_QUAD_SPLIT_MARGIN = 30.0  # the quadrature splits this far past the edge
 
 # 2 * eta(2n) for the degenerate tail corrections, eta the alternating zeta.
 _DEGEN_COEFF = (
@@ -105,15 +104,15 @@ def _occupation(t: float) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _fermi_quadrature(alpha: float, z: float, cfg: NumericsConfig) -> float:
+def _fermi_quadrature(alpha: float, z: float) -> float:
     """Direct quadrature evaluation, valid for any z but priced for midrange."""
-    split = max(z, 0.0) + cfg.quad_split_margin
+    split = max(z, 0.0) + _QUAD_SPLIT_MARGIN
     if alpha >= 0.0:
         def integrand(x: float) -> float:
             return x**alpha * _occupation(x - z)
 
         kinks = [z] if 0.0 < z < split else None
-        value, _ = integrate_semi_infinite(integrand, split, cfg, points=kinks)
+        value, _ = integrate_semi_infinite(integrand, split, points=kinks)
         return value
 
     # x = u^2 tames the x^alpha endpoint singularity (alpha in (-1, 0)).
@@ -124,7 +123,7 @@ def _fermi_quadrature(alpha: float, z: float, cfg: NumericsConfig) -> float:
 
     split_u = math.sqrt(split)
     kinks = [math.sqrt(z)] if 0.0 < z < split else None
-    value, _ = integrate_semi_infinite(integrand_u, split_u, cfg, points=kinks)
+    value, _ = integrate_semi_infinite(integrand_u, split_u, points=kinks)
     return value
 
 
@@ -141,7 +140,7 @@ def _fermi_degenerate(alpha: float, z: float) -> float:
     return total
 
 
-def fermi_f(alpha: float, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def fermi_f(alpha: float, z: float) -> float:
     """Evaluate f_alpha(z); relative accuracy ~1e-10 across branches."""
     alpha = _check_order(alpha)
     z = float(z)
@@ -151,7 +150,7 @@ def fermi_f(alpha: float, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> flo
         return _gamma1p(alpha) * math.exp(z)
     if z > DEGENERATE_CUTOFF:
         return _fermi_degenerate(alpha, z)
-    return _fermi_quadrature(alpha, z, cfg)
+    return _fermi_quadrature(alpha, z)
 
 
 def fermi_asymptotic(alpha: float, z: float, branch: str) -> float:
@@ -173,7 +172,7 @@ def fermi_asymptotic(alpha: float, z: float, branch: str) -> float:
     raise DomainError(f"branch must be 'classical' or 'degenerate', got {branch!r}")
 
 
-def fermi_f_inverse(alpha: float, y: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def fermi_f_inverse(alpha: float, y: float) -> float:
     """Solve f_alpha(z) = y for z (y > 0).
 
     Initial bracket from the asymptotic branches: the classical inverse
@@ -194,12 +193,12 @@ def fermi_f_inverse(alpha: float, y: float, cfg: NumericsConfig = DEFAULT_CONFIG
     log_y = math.log(y)
 
     def g(v: float) -> float:
-        return math.log(fermi_f(alpha, v, cfg)) - log_y
+        return math.log(fermi_f(alpha, v)) - log_y
 
-    return find_root_monotone(g, lo, hi, cfg)
+    return find_root_monotone(g, lo, hi)
 
 
-def zeta_map(d: int, w: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def zeta_map(d: int, w: float) -> float:
     """Composition f_(d/2-2) o f_(d/2-1)^(-1) at w > 0.
 
     Maps the order-(d/2-1) integral's value to the order-(d/2-2) integral's
@@ -210,8 +209,8 @@ def zeta_map(d: int, w: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     w = float(w)
     if not math.isfinite(w) or w <= 0.0:
         raise DomainError(f"need finite w > 0, got {w!r}")
-    v = fermi_f_inverse(d / 2.0 - 1.0, w, cfg)
-    return fermi_f(d / 2.0 - 2.0, v, cfg)
+    v = fermi_f_inverse(d / 2.0 - 1.0, w)
+    return fermi_f(d / 2.0 - 2.0, v)
 
 
 def _check_dimension(d: int) -> int:
@@ -220,9 +219,38 @@ def _check_dimension(d: int) -> int:
     return int(d)
 
 
-@lru_cache(maxsize=32)
-def _bound_constant(d: int, cfg: NumericsConfig) -> tuple[float, float]:
-    ratio = cached_ratio_proxy(d, cfg).ratio
+def _shared(check):
+    """Cache a one-argument builder under ``check(arg)``, checked on every call.
+
+    Every spelling of one order or dimension (int, float, numpy scalar) shares
+    one result, and an invalid argument raises whatever is cached.
+    """
+
+    def decorate(build):
+        cached = lru_cache(maxsize=64)(build)
+
+        @wraps(build)
+        def shared(arg):
+            return cached(check(arg))
+
+        return shared
+
+    return decorate
+
+
+@_shared(_check_dimension)
+def bound_constant_C(d: int) -> tuple[float, float]:
+    """Peak C(d) of the degeneracy defect over w, with an accuracy estimate.
+
+    Returns ``(C, accuracy)`` where C is the supremum of
+    ``w^(-2/d) (1 - ratio(w))``, the ratio ``((d-2)/2) zeta(w)/w`` read from
+    the dimension's :func:`cached_ratio_proxy`.  A log-spaced scan over
+    ``[1e-6, 1e8]`` (12 points per decade) brackets the peak and a bounded
+    scalar minimization refines it; ``accuracy`` is a conservative bound on
+    the scan error (about one percent).  The full-statistics gap majorant is
+    ``C_eta = (2/mu)^(2/d) C(d)``.
+    """
+    ratio = cached_ratio_proxy(d).ratio
 
     def defect(t: float) -> float:
         w = math.exp(t)
@@ -243,20 +271,6 @@ def _bound_constant(d: int, cfg: NumericsConfig) -> tuple[float, float]:
     )
     peak = max(values[best], -float(refined.fun))
     return peak, abs(peak - values[best]) + 1e-2 * peak
-
-
-def bound_constant_C(d: int, cfg: NumericsConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Peak C(d) of the degeneracy defect over w, with an accuracy estimate.
-
-    Returns ``(C, accuracy)`` where C is the supremum of
-    ``w^(-2/d) (1 - ratio(w))``, the ratio ``((d-2)/2) zeta(w)/w`` read from
-    the dimension's :func:`cached_ratio_proxy`.  A log-spaced scan over
-    ``[1e-6, 1e8]`` (12 points per decade) brackets the peak and a bounded
-    scalar minimization refines it; ``accuracy`` is a conservative bound on
-    the scan error (about one percent).  The full-statistics gap majorant is
-    ``C_eta = (2/mu)^(2/d) C(d)``.
-    """
-    return _bound_constant(_check_dimension(d), cfg)
 
 
 def _cheb_eval(coef: tuple[float, ...], a: float, b: float, v: float) -> float:
@@ -287,9 +301,8 @@ class FermiEvaluator:
     _N_PANELS = 6
     _DEGREE = 64
 
-    def __init__(self, alpha: float, cfg: NumericsConfig = DEFAULT_CONFIG):
+    def __init__(self, alpha: float):
         self.alpha = _check_order(alpha)
-        self.cfg = cfg
         self._gamma = _gamma1p(self.alpha)
         self._log_gamma = math.log(self._gamma)
         self._lo = CLASSICAL_CUTOFF - 0.5
@@ -299,7 +312,7 @@ class FermiEvaluator:
 
         def sampled(vs: np.ndarray) -> np.ndarray:
             return np.array(
-                [math.log(_fermi_quadrature(self.alpha, v, cfg)) for v in np.atleast_1d(vs)]
+                [math.log(_fermi_quadrature(self.alpha, v)) for v in np.atleast_1d(vs)]
             )
 
         proxies = [
@@ -384,14 +397,10 @@ class FermiEvaluator:
         return v
 
 
-def cached_evaluator(alpha: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> FermiEvaluator:
-    """Shared evaluator instances keyed by order and configuration."""
-    return _evaluator(_check_order(alpha), cfg)
-
-
-@lru_cache(maxsize=64)
-def _evaluator(alpha: float, cfg: NumericsConfig) -> FermiEvaluator:
-    return FermiEvaluator(alpha, cfg)
+@_shared(_check_order)
+def cached_evaluator(alpha: float) -> FermiEvaluator:
+    """The shared evaluator of one order."""
+    return FermiEvaluator(alpha)
 
 
 class ResponseRatioProxy:
@@ -420,10 +429,10 @@ class ResponseRatioProxy:
     _PANEL_WIDTH = 2.0
     _DEGREE = 32
 
-    def __init__(self, d: int, cfg: NumericsConfig = DEFAULT_CONFIG):
+    def __init__(self, d: int):
         self.d = _check_dimension(d)
-        inner = cached_evaluator(self.d / 2.0 - 1.0, cfg)
-        outer = cached_evaluator(self.d / 2.0 - 2.0, cfg)
+        inner = cached_evaluator(self.d / 2.0 - 1.0)
+        outer = cached_evaluator(self.d / 2.0 - 2.0)
         self._inner = inner
         self._outer_alpha = outer.alpha
         self._front = 0.5 * (self.d - 2)
@@ -461,11 +470,7 @@ class ResponseRatioProxy:
         return math.exp(_cheb_eval(self._coef[i], self._edges[i], self._edges[i + 1], t))
 
 
-def cached_ratio_proxy(d: int, cfg: NumericsConfig = DEFAULT_CONFIG) -> ResponseRatioProxy:
-    """Shared full-statistics ratio proxies keyed by dimension and configuration."""
-    return _ratio_proxy(_check_dimension(d), cfg)
-
-
-@lru_cache(maxsize=16)
-def _ratio_proxy(d: int, cfg: NumericsConfig) -> ResponseRatioProxy:
-    return ResponseRatioProxy(d, cfg)
+@_shared(_check_dimension)
+def cached_ratio_proxy(d: int) -> ResponseRatioProxy:
+    """The shared full-statistics ratio proxy of one dimension."""
+    return ResponseRatioProxy(d)

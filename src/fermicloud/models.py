@@ -24,8 +24,8 @@ the barotropic pressure closure
 ``p(rho, theta) = theta^(d/2+1) P(rho theta^(-d/2))`` with
 ``P(z) = int_0^z t / R(t) dt``.
 
-Each kind is one private statistics object, built once per (model,
-configuration), that carries R, S, H, P and the majorant constant C(eta).
+Each kind is one private statistics object, built once per model, that
+carries R, S, H, P and the majorant constant C(eta).
 Every one of them is a closed form or a read of the per-dimension Fermi
 tables; no quadrature runs here.  For the full kind, with
 ``v = f_(d/2-1)^(-1)(2 z / mu)``, the ideal Fermi gas identities give
@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 from . import fermi
-from .numerics import DEFAULT_CONFIG, ConfigError, DomainError, NumericsConfig
+from .numerics import ConfigError, DomainError
 
 __all__ = [
     "ModelKind",
@@ -183,7 +183,7 @@ class _SimplifiedFd:
     is eta, the limit z -> 0.
     """
 
-    def __init__(self, model: ModelSpec, cfg: NumericsConfig):
+    def __init__(self, model: ModelSpec):
         self.d = model.d
         self.eta = model.eta
         self.p = 1.0 - 1.0 / model.d
@@ -209,12 +209,13 @@ class _SimplifiedFd:
 
 
 class _FullFd:
-    """Full Fermi-Dirac statistics from per-dimension Fermi tables.
+    """Full Fermi-Dirac statistics from Fermi tables shared per dimension.
 
     ``R(z) = z * ratio(2 z / mu)``, where the ratio ``((d-2)/2) zeta(w)/w``
-    depends on the dimension only and comes from the shared Chebyshev proxy
-    :func:`fermi.cached_ratio_proxy`; eta enters through the scale ``2/mu``
-    alone.  The ratio is capped at 1 so that R(z) <= z holds to the last bit.
+    depends on the dimension only and comes from the Chebyshev proxy
+    :func:`fermi.cached_ratio_proxy`, shared by every eta; eta enters through
+    the scale ``2/mu`` alone.  The ratio is capped at 1 so that R(z) <= z
+    holds to the last bit.
 
     With alpha = d/2 - 1 and ``v = f_alpha^(-1)(2 z / mu)`` from the cached
     order-alpha evaluator, ``f_alpha' = alpha f_(alpha-1)`` gives
@@ -227,15 +228,14 @@ class _FullFd:
     :func:`fermi.bound_constant_C`.
     """
 
-    def __init__(self, model: ModelSpec, cfg: NumericsConfig):
+    def __init__(self, model: ModelSpec):
         self.d = model.d
         self.mu = model.mu
-        self.cfg = cfg
-        self.proxy = fermi.cached_ratio_proxy(model.d, cfg)
+        self.proxy = fermi.cached_ratio_proxy(model.d)
         self._ratio = self.proxy.ratio
         self._wscale = 2.0 / self.mu
         self._w_lo = math.exp(self.proxy.window[0])
-        self._inner = fermi.cached_evaluator(model.d / 2.0 - 1.0, cfg)
+        self._inner = fermi.cached_evaluator(model.d / 2.0 - 1.0)
         self._h_shift = math.lgamma(model.d / 2.0) + math.log(0.5 * self.mu)
 
     def R(self, z: float) -> float:
@@ -255,11 +255,11 @@ class _FullFd:
         if w <= self._w_lo:
             return z
         half_d = 0.5 * self.d
-        outer = fermi.cached_evaluator(half_d, self.cfg)
+        outer = fermi.cached_evaluator(half_d)
         return 0.5 * self.mu * outer.value(self._inner.inverse(w)) / half_d
 
     def majorant(self) -> float:
-        return self._wscale ** (2.0 / self.d) * fermi.bound_constant_C(self.d, self.cfg)[0]
+        return self._wscale ** (2.0 / self.d) * fermi.bound_constant_C(self.d)[0]
 
 
 # The classical kind has eta = 0 by construction, so it never needs an entry.
@@ -267,11 +267,11 @@ _QUANTUM_STATISTICS = {ModelKind.SIMPLIFIED_FD: _SimplifiedFd, ModelKind.FULL_FD
 
 
 @lru_cache(maxsize=64)
-def _statistics(model: ModelSpec, cfg: NumericsConfig):
+def _statistics(model: ModelSpec):
     """The statistics object of a model: classical wherever eta = 0."""
     if model.eta == 0.0:
         return _Classical()
-    return _QUANTUM_STATISTICS[model.kind](model, cfg)
+    return _QUANTUM_STATISTICS[model.kind](model)
 
 
 def _check_z(z: float) -> float:
@@ -281,31 +281,31 @@ def _check_z(z: float) -> float:
     return z
 
 
-def R_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def R_value(model: ModelSpec, z: float) -> float:
     """Response R(z) of the given model; R(0) = 0, strictly increasing."""
-    return _statistics(model, cfg).R(_check_z(z))
+    return _statistics(model).R(_check_z(z))
 
 
-def response_fn(model: ModelSpec, cfg: NumericsConfig = DEFAULT_CONFIG) -> Callable[[float], float]:
+def response_fn(model: ModelSpec) -> Callable[[float], float]:
     """Specialized scalar closure z -> R(z) for hot loops.
 
     Skips per-call validation; callers guarantee z >= 0 and finite.  Agrees
     with :func:`R_value` at every argument.
     """
-    return _statistics(model, cfg).R
+    return _statistics(model).R
 
 
-def S_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def S_value(model: ModelSpec, z: float) -> float:
     """Degeneracy defect S(z) = z - R(z) >= 0.
 
     For the simplified kind the subtraction is carried out algebraically,
     ``S = eta z^(2-1/d) / (1 + eta z^(1-1/d))``, which stays fully accurate
     where z and R(z) agree to many digits.
     """
-    return _statistics(model, cfg).S(_check_z(z))
+    return _statistics(model).S(_check_z(z))
 
 
-def H_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def H_value(model: ModelSpec, z: float) -> float:
     """Enthalpy-like primitive H with H'(z) R(z) = 1 and H - log z -> 0 as z -> 0.
 
     Classical: ``log z``.  Simplified: the closed antiderivative
@@ -315,10 +315,10 @@ def H_value(model: ModelSpec, z: float, cfg: NumericsConfig = DEFAULT_CONFIG) ->
     z = _check_z(z)
     if z == 0.0:
         raise DomainError("H diverges at z = 0")
-    return _statistics(model, cfg).H(z)
+    return _statistics(model).H(z)
 
 
-def pressure(model: ModelSpec, rho: float, theta: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def pressure(model: ModelSpec, rho: float, theta: float) -> float:
     """Barotropic pressure p = theta^(d/2+1) P(rho theta^(-d/2)).
 
     ``P(z) = int_0^z t / R(t) dt``: ``z`` for the classical kind (the
@@ -333,10 +333,10 @@ def pressure(model: ModelSpec, rho: float, theta: float, cfg: NumericsConfig = D
     z = rho * theta ** (-d / 2.0)
     if z == 0.0:
         return 0.0
-    return theta ** (d / 2.0 + 1.0) * _statistics(model, cfg).P(z)
+    return theta ** (d / 2.0 + 1.0) * _statistics(model).P(z)
 
 
-def C_eta_majorant(model: ModelSpec, cfg: NumericsConfig = DEFAULT_CONFIG) -> tuple[float, str]:
+def C_eta_majorant(model: ModelSpec) -> tuple[float, str]:
     """Least constant C_eta with S(z) <= C_eta z^(1+2/d) for every z > 0.
 
     Returns ``(C_eta, form)`` where form describes the majorant shape; both
@@ -345,4 +345,4 @@ def C_eta_majorant(model: ModelSpec, cfg: NumericsConfig = DEFAULT_CONFIG) -> tu
     ``eta^(2/(d-1)) p^p (1-p)^(1-p)`` with p = (d-3)/(d-1), and the full kind
     ``(2/mu)^(2/d) C(d)``.
     """
-    return _statistics(model, cfg).majorant(), GAP_MAJORANT_FORM
+    return _statistics(model).majorant(), GAP_MAJORANT_FORM

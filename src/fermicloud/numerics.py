@@ -101,39 +101,34 @@ class PositivityError(NumericsError):
 class NumericsConfig:
     """Shared tolerance and budget settings.
 
+    They govern the shooting solver only; the response layer (Fermi tables,
+    statistics objects) has fixed quadrature settings and takes none.
+
     Attributes
     ----------
-    quad_rel_tol : relative tolerance for quadrature.
-    quad_split_margin : distance past the integrand's edge at which the
-        semi-infinite integral is split into head and tail.
     root_tol : absolute/relative bracket tolerance for root finding.
     ode_rel_tol, ode_abs_tol : local error control for the ODE integrator.
     max_steps : accepted-step budget for a single ODE solve.
     """
 
-    quad_rel_tol: float = 1e-10
-    quad_split_margin: float = 30.0
     root_tol: float = 1e-12
     ode_rel_tol: float = 1e-10
     ode_abs_tol: float = 1e-14
     max_steps: int = 10**6
 
     def __post_init__(self) -> None:
-        for name in ("quad_rel_tol", "root_tol", "ode_rel_tol", "ode_abs_tol"):
+        for name in ("root_tol", "ode_rel_tol", "ode_abs_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
-        if not self.quad_split_margin > 0.0:
-            raise ConfigError(
-                f"quad_split_margin must be positive, got {self.quad_split_margin!r}"
-            )
         if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
             raise ConfigError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
 
 DEFAULT_CONFIG = NumericsConfig()
 
-# QUADPACK subdivision cap; acts as the refinement-depth budget.
+# QUADPACK relative tolerance and subdivision cap (the refinement budget).
+_QUAD_REL_TOL = 1e-10
 _QUAD_LIMIT = 200
 
 
@@ -149,13 +144,13 @@ def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
     return wrapped
 
 
-def _quad(f, a, b, cfg: NumericsConfig, points=None) -> tuple[float, float]:
+def _quad(f, a, b, points=None) -> tuple[float, float]:
     result = quad(
         f,
         a,
         b,
         epsabs=1e-300,
-        epsrel=cfg.quad_rel_tol,
+        epsrel=_QUAD_REL_TOL,
         limit=_QUAD_LIMIT,
         points=points,
         full_output=1,
@@ -170,7 +165,6 @@ def _quad(f, a, b, cfg: NumericsConfig, points=None) -> tuple[float, float]:
 def integrate_semi_infinite(
     f: Callable[[float], float],
     split_point: float,
-    cfg: NumericsConfig = DEFAULT_CONFIG,
     points: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Integrate ``f`` over ``[0, inf)``.
@@ -182,7 +176,7 @@ def integrate_semi_infinite(
 
     Returns
     -------
-    (value, err_est) with ``|value - true| <= max(quad_rel_tol*|value|, err_est)``
+    (value, err_est) with ``|value - true| <= max(1e-10 |value|, err_est)``
     for integrands within contract (eventually decaying, finite).
     """
     if not math.isfinite(split_point) or split_point < 0.0:
@@ -193,10 +187,10 @@ def integrate_semi_infinite(
     err = 0.0
     if split > 0.0:
         interior = [p for p in (points or ()) if 0.0 < p < split]
-        head, head_err = _quad(g, 0.0, split, cfg, points=sorted(interior) or None)
+        head, head_err = _quad(g, 0.0, split, points=sorted(interior) or None)
         total += head
         err += head_err
-    tail, tail_err = _quad(g, split, np.inf, cfg)
+    tail, tail_err = _quad(g, split, np.inf)
     return total + tail, err + tail_err
 
 
@@ -244,8 +238,11 @@ def find_root_monotone(
         raise BracketError(
             f"no sign change found near [{lo!r}, {hi!r}] after bracket expansion"
         )
+    # Brent starts by evaluating both ends: hand it the values already known.
+    ends = {lo: glo, hi: ghi}
     rtol = max(cfg.root_tol, 4 * np.finfo(float).eps)
-    return float(brentq(g, lo, hi, xtol=cfg.root_tol, rtol=rtol, maxiter=200))
+    return float(brentq(lambda x: ends[x] if x in ends else g(x), lo, hi,
+                        xtol=cfg.root_tol, rtol=rtol, maxiter=200))
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,

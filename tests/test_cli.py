@@ -205,7 +205,7 @@ class TestConfigMerging:
         run = RunConfig.from_args(build_parser().parse_args(parser_args))
         assert run.numerics.ode_rel_tol == 1e-6
         assert run.numerics.max_steps == 500
-        assert run.numerics.quad_rel_tol == 1e-10  # untouched default
+        assert run.numerics.root_tol == 1e-12  # untouched default
 
 
 class TestKeyTable:
@@ -262,6 +262,15 @@ class TestExitCodes:
         rc = main(["mass-curve", *CURVE_ARGS, "--config", str(cfg)])
         assert rc == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["quad_rel_tol", "quad_split_margin"])
+    def test_quadrature_key_is_exit_2(self, tmp_path, capsys, key):
+        # the response layer's quadrature settings are fixed, not configurable
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 1e-8}))
+        rc = main(["crosscheck", "--rho", "1", "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_bad_dimension_is_exit_2(self, capsys):
         rc = main(["mass-curve", *CURVE_ARGS, "--d", "10"])

@@ -1,5 +1,6 @@
 """Tests for the shooting dynamics: vector fields, trajectories, radial cross-check."""
 
+import dataclasses
 import io
 import math
 
@@ -22,8 +23,9 @@ from fermicloud import (
     rhs_nonautonomous,
     to_radial,
 )
+from fermicloud import fermi
 from fermicloud.dynamics import TRAJECTORY_CSV_HEADER
-from fermicloud.numerics import ConfigError, DomainError
+from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, DomainError
 
 MB3 = ModelSpec.maxwell_boltzmann(3)
 SFD = ModelSpec.simplified_fd(3, 1e-2)
@@ -126,6 +128,23 @@ class TestTrajectory:
         # frozen from an accepted run; guards the whole integration pathway
         assert mb_traj.end_state.x == pytest.approx(0.3029013761872641, rel=1e-9)
         assert mb_traj.end_state.y == pytest.approx(0.8531433620814901, rel=1e-9)
+
+    def test_solver_settings_build_no_fermi_tables(self, monkeypatch):
+        # the response depends on the model alone: once its tables exist, a
+        # trajectory under other ODE tolerances reuses them
+        integrate_trajectory(FFD, 1.0, s_end=-19.0)
+        builds = []
+        for cls in (fermi.FermiEvaluator, fermi.ResponseRatioProxy):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                builds.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        cfg = dataclasses.replace(DEFAULT_CONFIG, ode_rel_tol=1e-9)
+        integrate_trajectory(FFD, 1.0, cfg=cfg)
+        assert builds == []
 
     def test_end_state_matches_samples(self, mb_traj, mb_long):
         for traj in (mb_traj, mb_long):

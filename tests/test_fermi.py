@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from fermicloud import fermi
 from fermicloud.fermi import (
     CLASSICAL_CUTOFF,
     DEGENERATE_CUTOFF,
@@ -19,7 +20,7 @@ from fermicloud.fermi import (
     fermi_f_inverse,
     zeta_map,
 )
-from fermicloud.numerics import DEFAULT_CONFIG, DomainError
+from fermicloud.numerics import DomainError
 
 
 def quadrature_oracle(alpha, z):
@@ -161,6 +162,18 @@ class TestInverse:
         with pytest.raises(DomainError):
             fermi_f_inverse(0.5, 0.0)
 
+    def test_each_argument_evaluated_once(self, monkeypatch):
+        # the bracket ends are not evaluated a second time by Brent
+        seen = []
+
+        def counted(alpha, z):
+            seen.append(z)
+            return fermi_f(alpha, z)
+
+        monkeypatch.setattr(fermi, "fermi_f", counted)
+        fermi_f_inverse(0.5, 3.0)
+        assert len(seen) == len(set(seen))
+
 
 class TestZetaMap:
     def test_exact_composition_point(self):
@@ -275,15 +288,26 @@ class TestFermiEvaluator:
         assert cached_evaluator(0.5) is cached_evaluator(0.5)
 
     def test_cache_keys_normalized(self):
-        # a defaulted and an explicit configuration share one instance
-        assert cached_evaluator(0.5) is cached_evaluator(0.5, DEFAULT_CONFIG)
-        assert cached_ratio_proxy(3) is cached_ratio_proxy(3, DEFAULT_CONFIG)
+        # int, float and numpy-scalar spellings share one instance
+        ev = cached_evaluator(1.5)
+        assert cached_evaluator(np.float64(1.5)) is ev
+        assert cached_evaluator(np.float32(1.5)) is ev
+        assert cached_evaluator(1) is cached_evaluator(1.0) is cached_evaluator(np.int64(1))
+        proxy = cached_ratio_proxy(3)
+        assert cached_ratio_proxy(np.int64(3)) is proxy
+        assert cached_ratio_proxy(np.int32(3)) is proxy
+        assert bound_constant_C(np.int64(3)) is bound_constant_C(3)
+        # a float dimension is rejected even once the integer one is cached
+        with pytest.raises(DomainError):
+            cached_ratio_proxy(3.0)
+        with pytest.raises(DomainError):
+            bound_constant_C(3.0)
 
 
 def composed_ratio(d, w):
     """((d-2)/2) zeta(w)/w through the two order evaluators, Newton inverse included."""
-    inner = cached_evaluator(d / 2.0 - 1.0, DEFAULT_CONFIG)
-    outer = cached_evaluator(d / 2.0 - 2.0, DEFAULT_CONFIG)
+    inner = cached_evaluator(d / 2.0 - 1.0)
+    outer = cached_evaluator(d / 2.0 - 2.0)
     return 0.5 * (d - 2) * outer.value(inner.inverse(w)) / w
 
 
@@ -293,7 +317,7 @@ DIMENSIONS = range(3, 10)
 class TestResponseRatioProxy:
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_matches_composition_on_dense_grid(self, d):
-        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        proxy = cached_ratio_proxy(d)
         t_lo, t_hi = proxy.window
         for t in np.linspace(t_lo - 1.0, t_hi + 1.0, 2001):
             w = math.exp(float(t))
@@ -301,7 +325,7 @@ class TestResponseRatioProxy:
 
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_matches_quadrature_oracle(self, d):
-        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        proxy = cached_ratio_proxy(d)
         t_lo, t_hi = proxy.window
         for t in np.linspace(t_lo - 3.0, t_hi + 3.0, 20):
             w = math.exp(float(t))
@@ -310,7 +334,7 @@ class TestResponseRatioProxy:
 
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_continuous_at_window_edges(self, d):
-        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        proxy = cached_ratio_proxy(d)
         for t in proxy.window:
             w = math.exp(t)
             below = proxy.ratio(math.nextafter(w, 0.0))
@@ -319,10 +343,10 @@ class TestResponseRatioProxy:
 
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_identity_below_window(self, d):
-        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        proxy = cached_ratio_proxy(d)
         for w in (0.0, 5e-324, 1e-200, math.exp(proxy.window[0])):
             assert proxy.ratio(w) == 1.0
 
     def test_rejects_dimension_out_of_range(self):
         with pytest.raises(DomainError):
-            cached_ratio_proxy(2, DEFAULT_CONFIG)
+            cached_ratio_proxy(2)

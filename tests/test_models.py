@@ -21,7 +21,7 @@ from fermicloud.models import (
     response_fn,
     sigma_d,
 )
-from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, DomainError
+from fermicloud.numerics import ConfigError, DomainError
 
 
 MB3 = ModelSpec.maxwell_boltzmann(3)
@@ -178,14 +178,14 @@ class TestResponse:
 class TestFullKindProxy:
     @pytest.mark.parametrize("d", range(3, 10))
     def test_one_proxy_per_dimension(self, d):
-        strong = models._statistics(ModelSpec.full_fd(d, 1e-2), DEFAULT_CONFIG)
-        weak = models._statistics(ModelSpec.full_fd(d, 1e-4), DEFAULT_CONFIG)
-        assert strong.proxy is weak.proxy is cached_ratio_proxy(d, DEFAULT_CONFIG)
+        strong = models._statistics(ModelSpec.full_fd(d, 1e-2))
+        weak = models._statistics(ModelSpec.full_fd(d, 1e-4))
+        assert strong.proxy is weak.proxy is cached_ratio_proxy(d)
 
     @pytest.mark.parametrize("d", range(3, 10))
     def test_response_is_scaled_ratio(self, d):
         model = ModelSpec.full_fd(d, 1e-2)
-        proxy = cached_ratio_proxy(d, DEFAULT_CONFIG)
+        proxy = cached_ratio_proxy(d)
         for z in (1e-9, 0.37, 12.0, 1e5, 1e12):
             assert R_value(model, z) == z * min(proxy.ratio(2.0 * z / model.mu), 1.0)
 

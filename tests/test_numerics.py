@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from fermicloud import ModelSpec, dynamics
 from fermicloud.numerics import (
@@ -37,16 +38,12 @@ CLOSED_FORM_CASES = pytest.mark.parametrize(
 class TestNumericsConfig:
     def test_defaults_are_valid(self):
         cfg = NumericsConfig()
-        assert cfg.quad_rel_tol == 1e-10
         assert cfg.ode_rel_tol == 1e-10
         assert cfg.max_steps == 10**6
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("quad_rel_tol", 0.0),
-            ("quad_rel_tol", 2.0),
-            ("quad_split_margin", -1.0),
             ("root_tol", -1e-9),
             ("ode_rel_tol", float("nan")),
             ("ode_abs_tol", -1.0),
@@ -106,6 +103,21 @@ class TestMonotoneRootFinder:
     def test_no_root_raises(self):
         with pytest.raises(BracketError):
             find_root_monotone(lambda x: 1.0 + x * 0.0, 0.0, 1.0)
+
+    def test_bracket_ends_evaluated_once(self):
+        # Brent reuses the end values: no point is evaluated twice, and the
+        # root is Brent's own, bit for bit
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x**3 - 8.0
+
+        root = find_root_monotone(g, 0, 10)
+        assert seen[:2] == [0, 10]
+        assert len(seen) == len(set(seen))
+        tol = DEFAULT_CONFIG.root_tol
+        assert root == brentq(lambda x: x**3 - 8.0, 0.0, 10.0, xtol=tol, rtol=tol)
 
 
 class TestOdeIntegrate:
