@@ -4,11 +4,14 @@ The shooting map rho -> M(rho) = sigma_d x(0) assigns to each scaled central
 density the total mass of the equilibrium cloud it launches.  Scanning it on a
 log grid produces the bifurcation curve whose oscillation around the sink value
 2 sigma_d creates multiple equilibria at intermediate masses; counting and
-refining the crossings quantifies that multiplicity.  The remaining operations
-measure how fast the degenerate families collapse onto the classical curve as
-the degeneracy parameter shrinks: sup gaps in scaled and plain coordinates, the
-empirical Gronwall constant, and direct residual checks of the bound and the
-difference system that drive the convergence argument.
+refining the crossings quantifies that multiplicity.  At eta = 0 the field is
+autonomous, so the trajectory of rho is the rho = 1 orbit shifted by log(rho)/2
+in s, and one dense orbit carries the whole curve: M(rho) = sigma_d
+x_1(log(rho)/2).  The remaining operations measure how fast the degenerate
+families collapse onto the classical curve as the degeneracy parameter shrinks:
+sup gaps in scaled and plain coordinates, the empirical Gronwall constant, and
+direct residual checks of the bound and the difference system that drive the
+convergence argument.
 
 All sups are taken over the shared uniform grid of :func:`comparison_grid`, so
 every reported number is reproducible bit for bit from the inputs.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _write_text, comparison_grid, integrate_trajectory
+from .dynamics import Trajectory, _write_text, comparison_grid, initial_state, integrate_trajectory
 from .models import ModelKind, ModelSpec, S_value, sigma_d
 from .numerics import (
     DEFAULT_CONFIG,
@@ -65,7 +68,8 @@ class MassCurve:
     successful evaluations appear there.  Grid points whose integration failed
     are kept in ``failures`` as (rho, reason) pairs so gaps stay visible.
     ``grid_policy`` describes how the grid was built and ``s_start`` records
-    the launch point used for every trajectory, which root refinement reuses.
+    the launch point of a per-rho trajectory (the eta = 0 orbit starts no
+    later than its equivalent for any rho), which root refinement reuses.
     """
 
     model: ModelSpec
@@ -246,6 +250,15 @@ def mass_of_density(
     return sigma_d(model.d) * traj.end_state.x
 
 
+def _classical_orbit(
+    model: ModelSpec, rho_min: float, rho_max: float, cfg: NumericsConfig, s_start: float
+) -> Trajectory:
+    """The rho = 1 orbit of an eta = 0 model; density rho reads it at s = log(rho)/2."""
+    initial_state(model.d, 1.0, s_start)  # the per-rho launch check: s_start <= -10
+    s_launch = min(s_start, s_start + 0.5 * math.log(rho_min))  # <= every per-rho launch
+    return integrate_trajectory(model, 1.0, s_launch, 0.5 * math.log(rho_max), cfg)
+
+
 def mass_curve(
     model: ModelSpec,
     rho_min: float,
@@ -256,9 +269,10 @@ def mass_curve(
 ) -> MassCurve:
     """Scan the shooting map on a log-spaced density grid.
 
-    Each grid point is evaluated independently and assembled in increasing
-    rho order.  A point whose integration raises a numeric error is recorded
-    under ``failures`` instead of aborting the scan.
+    At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`);
+    otherwise each point is shot on its own.  A point whose integration raises
+    a numeric error (every point, if the orbit does) is recorded under
+    ``failures`` instead of aborting the scan.
     """
     if not (math.isfinite(rho_min) and math.isfinite(rho_max) and 0.0 < rho_min < rho_max):
         raise ConfigError(
@@ -272,12 +286,20 @@ def mass_curve(
     grid = np.logspace(math.log10(rho_min), math.log10(rho_max), n)
     points: list[tuple[float, float]] = []
     failures: list[tuple[float, str]] = []
-    for rho in grid:
-        rho = float(rho)
+    if model.eta == 0.0:
         try:
-            points.append((rho, mass_of_density(model, rho, cfg, s_start)))
+            orbit = _classical_orbit(model, grid[0], grid[-1], cfg, s_start)
+            masses = sigma_d(model.d) * orbit.sample(0.5 * np.log(grid))[0]
+            points = list(zip(grid.tolist(), masses.tolist()))
         except NumericsError as exc:
-            failures.append((rho, f"{type(exc).__name__}: {exc}"))
+            failures = [(float(rho), f"{type(exc).__name__}: {exc}") for rho in grid]
+    else:
+        for rho in grid:
+            rho = float(rho)
+            try:
+                points.append((rho, mass_of_density(model, rho, cfg, s_start)))
+            except NumericsError as exc:
+                failures.append((rho, f"{type(exc).__name__}: {exc}"))
     policy = (
         f"log-spaced, {points_per_decade} points/decade on "
         f"[{rho_min:g}, {rho_max:g}], {n} points"
@@ -297,14 +319,16 @@ def count_solutions(
     """Count and locate densities whose equilibrium mass equals ``M_target``.
 
     Sign changes of M(rho) - M_target between adjacent curve points are each
-    refined by Brent's method in u = log rho, re-integrating the shooting map
-    rather than interpolating the curve.  Brent stops at ``cfg.root_tol`` in
-    u (absolute plus relative), so that tolerance and the accuracy of the
-    shooting map itself set the roots' relative error.  Roots are listed in
-    increasing order.  A target outside the sampled mass range yields multiplicity 0
-    (the diagnostic being the returned empty root list); crossings between
-    grid points can only be seen at the grid's resolution, so refine the grid
-    to resolve suspected near-tangencies.
+    refined by Brent's method in u = log rho on the shooting map, not on an
+    interpolant of the curve: at eta = 0 on the dense output of the curve's
+    orbit, rebuilt once, and otherwise by one trajectory per Brent step.
+    Brent stops at ``cfg.root_tol`` in u (absolute plus relative), so that
+    tolerance and the accuracy of the shooting map set the roots' relative
+    error.  Roots are listed in increasing order.  A target outside the
+    sampled mass range yields multiplicity 0 (the diagnostic being the
+    returned empty root list); crossings between grid points can only be
+    seen at the grid's resolution, so refine the grid to resolve suspected
+    near-tangencies.
     """
     if not curve.points:
         raise ConfigError("curve has no points")
@@ -317,11 +341,16 @@ def count_solutions(
         return 0, ()
     log_rhos = np.log(rhos)
     known = dict(zip(log_rhos.tolist(), gaps.tolist()))  # bracket ends: already shot
+    model, orbit = curve.model, None
+    if model.eta == 0.0:
+        orbit = _classical_orbit(model, rhos[0], rhos[-1], cfg, curve.s_start)
 
     def gap(u: float) -> float:
         if u in known:
             return known[u]
-        return mass_of_density(curve.model, math.exp(u), cfg, curve.s_start) - M_target
+        if orbit is not None:
+            return sigma_d(model.d) * orbit.at(0.5 * u).x - M_target
+        return mass_of_density(model, math.exp(u), cfg, curve.s_start) - M_target
 
     roots: list[float] = []
     for i in range(len(gaps) - 1):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fermicloud import (
     AprioriBoundReport,
@@ -35,6 +36,11 @@ SFD = ModelSpec.simplified_fd(3, 1e-2)
 @pytest.fixture(scope="module")
 def small_curve():
     return mass_curve(MB3, 1.0, 100.0, points_per_decade=8)
+
+
+@pytest.fixture(scope="module")
+def sfd_curve():
+    return mass_curve(SFD, 1.0, 100.0, points_per_decade=8)
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +101,15 @@ class TestMassCurve:
         assert rhos[-1] == pytest.approx(100.0, rel=1e-12)
 
     def test_masses_match_pointwise_evaluation(self, small_curve):
-        rho = float(small_curve.rhos[5])
-        assert float(small_curve.masses[5]) == mass_of_density(MB3, rho)
+        # the classical curve is read off one orbit, the pointwise masses
+        # are shot per rho: two routes, equal to the solver's accuracy
+        per_rho = [mass_of_density(MB3, float(rho)) for rho in small_curve.rhos]
+        np.testing.assert_allclose(small_curve.masses, per_rho, rtol=1e-9, atol=0.0)
+
+    def test_degenerate_masses_equal_pointwise_evaluation(self, sfd_curve):
+        # eta > 0 shoots every grid point on its own
+        per_rho = [mass_of_density(SFD, float(rho)) for rho in sfd_curve.rhos]
+        assert sfd_curve.masses.tolist() == per_rho
 
     def test_deterministic(self):
         a = mass_curve(MB3, 1.0, 10.0, points_per_decade=4)
@@ -116,6 +129,14 @@ class TestMassCurve:
         rho, reason = curve.failures[0]
         assert rho == 1.0
         assert reason.startswith("StepLimitError")
+
+    def test_late_launch_fails_every_point(self):
+        # the orbit launches earlier than s_start, but only where a per-rho
+        # shoot from s_start would be allowed to start
+        curve = mass_curve(MB3, 1e-4, 1.0, points_per_decade=4, s_start=-5.0)
+        assert curve.points == ()
+        assert len(curve.failures) == 17
+        assert all(reason.startswith("ConfigError: s_start") for _, reason in curve.failures)
 
     @pytest.mark.parametrize(
         "rho_min,rho_max,ppd",
@@ -178,7 +199,7 @@ class TestCountSolutions:
         _, roots = count_solutions(small_curve, target)
         assert mass_of_density(MB3, roots[0]) == pytest.approx(target, rel=1e-5)
 
-    def test_brent_refinement_shoot_budget(self, small_curve, monkeypatch):
+    def test_brent_refinement_shoot_budget(self, sfd_curve, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -186,9 +207,29 @@ class TestCountSolutions:
             return mass_of_density(*args, **kwargs)
 
         monkeypatch.setattr(bifurcation, "mass_of_density", counted)
-        n, _ = count_solutions(small_curve, 2.0 * sigma_d(3))
+        n, _ = count_solutions(sfd_curve, 2.0 * sigma_d(3))
         assert n == 1
         assert len(calls) <= 10 * n
+
+    def test_classical_route_integrates_one_orbit_per_call(self, monkeypatch):
+        orbits, shoots = [], []
+
+        def counted_orbit(*args, **kwargs):
+            orbits.append(args)
+            return integrate_trajectory(*args, **kwargs)
+
+        def counted_shoot(*args, **kwargs):
+            shoots.append(args)
+            return mass_of_density(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "integrate_trajectory", counted_orbit)
+        monkeypatch.setattr(bifurcation, "mass_of_density", counted_shoot)
+        curve = mass_curve(MB3, 1e-2, 1e6, points_per_decade=8)
+        assert len(orbits) == 1
+        n, _ = count_solutions(curve, 2.0 * sigma_d(3))
+        assert n == 3  # the fourth crossing lies past 1e6
+        assert len(orbits) == 2
+        assert shoots == []
 
     def test_target_outside_range(self, small_curve):
         lo, hi = small_curve.mass_range()
@@ -215,6 +256,55 @@ class TestCountSolutions:
     def test_bad_target_rejected(self, small_curve, target):
         with pytest.raises(ConfigError):
             count_solutions(small_curve, target)
+
+
+class TestSingleOrbitRoute:
+    """Invariants of the shifted-orbit route against per-rho shooting."""
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_classical_curve_matches_per_rho_shoots(self, d):
+        model = ModelSpec.maxwell_boltzmann(d)
+        curve = mass_curve(model, 1e-2, 1e8, points_per_decade=4)
+        assert len(curve.points) == 41
+        per_rho = [mass_of_density(model, float(rho)) for rho in curve.rhos]
+        np.testing.assert_allclose(curve.masses, per_rho, rtol=1e-9, atol=0.0)
+
+    def test_simplified_kind_at_eta_zero_is_classical_curve(self):
+        sfd0 = mass_curve(ModelSpec.simplified_fd(3, 0.0), 1e-2, 1e8, points_per_decade=16)
+        mb = mass_curve(MB3, 1e-2, 1e8, points_per_decade=16)
+        assert sfd0.points == mb.points
+
+    @pytest.mark.parametrize("kind", ["sfd", "ffd"])
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("lam", [1e2, 1e4])
+    def test_quantum_scaling(self, kind, d, lam):
+        # R(z)/z depends on z only through z/mu, so shifting s by log(lam)/2
+        # maps the (eta, rho) trajectory onto the (eta lam^(-1/p), lam rho) one:
+        # M(eta lam^(-1/p), lam rho) = sigma_d x_{eta,rho}(log(lam)/2)
+        p = d / (d - 1.0) if kind == "sfd" else d / 2.0
+        eta, rho = 1e-2, 3.0
+        traj = integrate_trajectory(ModelSpec(kind, d, eta), rho, s_end=0.5 * math.log(lam))
+        scaled = ModelSpec(kind, d, eta * lam ** (-1.0 / p))
+        assert mass_of_density(scaled, lam * rho) == pytest.approx(
+            sigma_d(d) * traj.end_state.x, rel=1e-9
+        )
+
+    def test_classical_folds_on_x_nullcline(self):
+        # dM/du = sigma_d ((2-d) x + y) / 2 along the orbit, so the folds of
+        # the d = 3 curve sit where the orbit crosses y = (d-2) x
+        orbit = bifurcation._classical_orbit(MB3, 1e-2, 1e8, DEFAULT_CONFIG, -20.0)
+
+        def nullcline_gap(s):
+            state = orbit.at(s)
+            return state.y - state.x
+
+        s = np.linspace(0.5 * math.log(1e-2), 0.5 * math.log(1e8), 2001)
+        g = np.array([nullcline_gap(t) for t in s])
+        cells = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
+        folds = [orbit.at(brentq(nullcline_gap, s[i], s[i + 1], xtol=1e-14)).x for i in cells]
+        np.testing.assert_allclose(
+            folds, [2.51755132, 1.84273136, 2.04794924], rtol=1e-8, atol=0.0
+        )
 
 
 class TestConvergenceStudy:
