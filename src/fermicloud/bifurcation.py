@@ -269,10 +269,10 @@ def mass_curve(
 ) -> MassCurve:
     """Scan the shooting map on a log-spaced density grid.
 
-    At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`);
-    otherwise each point is shot on its own.  A point whose integration raises
-    a numeric error (every point, if the orbit does) is recorded under
-    ``failures`` instead of aborting the scan.
+    At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`),
+    so ``cfg.max_steps`` budgets that whole orbit and a numeric error fails all
+    points at once; otherwise each point is shot, and fails, on its own.  Failed
+    points are recorded under ``failures`` instead of aborting the scan.
     """
     if not (math.isfinite(rho_min) and math.isfinite(rho_max) and 0.0 < rho_min < rho_max):
         raise ConfigError(

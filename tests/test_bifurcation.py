@@ -130,6 +130,18 @@ class TestMassCurve:
         assert rho == 1.0
         assert reason.startswith("StepLimitError")
 
+    def test_classical_step_budget_is_all_or_nothing(self):
+        # at eta = 0 max_steps budgets the one orbit behind the curve: its leg
+        # from s = 0 runs out of steps, and every point fails with it, even
+        # the low densities whose own shoot fits in the budget
+        starved = dataclasses.replace(DEFAULT_CONFIG, max_steps=150)
+        curve = mass_curve(MB3, 1e-2, 1e8, points_per_decade=4, cfg=starved)
+        assert curve.points == ()
+        assert len(curve.failures) == 41
+        assert len({reason for _, reason in curve.failures}) == 1
+        assert curve.failures[0][1].startswith("StepLimitError")
+        assert math.isfinite(mass_of_density(MB3, 1e-2, starved))
+
     def test_late_launch_fails_every_point(self):
         # the orbit launches earlier than s_start, but only where a per-rho
         # shoot from s_start would be allowed to start

@@ -4,13 +4,18 @@
 Usage (from the root of a checkout):
 
     python3 tools/bench_record.py --out BENCH_14.json --seeds 1600 1601 ... \\
-        [--workload NAME ...] [--seconds 20] [--baseline OTHER_CHECKOUT]
+        [--workload NAME ...] [--baseline OTHER_CHECKOUT]
 
 For each workload (default: every workload of ``BENCHMARK.json``) the script
-runs the unchanged ``perfbench/run.py --trace 0`` once per seed and records
-the median and quartiles of the gated end-to-end metrics of ``BENCHMARK.json``
-over the seeds.  It then runs one ``--trace 1`` pass on the first seed and
-keeps its deterministic counters (counts, bytes and count ratios, no times).
+runs the unchanged ``perfbench/run.py --trace 0`` once per seed, for the
+``run_seconds`` of ``BENCHMARK.json``, and records the median and quartiles of
+the gated end-to-end metrics over the seeds.  It then runs one ``--trace 1``
+pass on the first seed and keeps its deterministic counters (counts, bytes and
+count ratios, no times).
+
+Each side is labelled by its ``src_sha256`` and by ``commit`` and ``dirty``:
+the checkout's HEAD and whether ``src/`` or ``perfbench/`` differ from it, so a
+run on uncommitted code is never filed under its parent's hash.
 
 With ``--baseline`` every seed also runs on the other checkout, alternating
 which side goes first, and the file records the baseline's numbers next to
@@ -29,6 +34,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SECONDS = 1
+
+
+def checkout_state(checkout: Path) -> dict:
+    """HEAD of ``checkout`` and whether the measured code differs from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        return {"commit": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}  # not a git checkout
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -60,10 +77,11 @@ def deterministic_counters(result: dict) -> dict:
     }
 
 
-def summarize(runs: list[dict], trace: dict, gated: list[str]) -> dict:
+def summarize(runs: list[dict], trace: dict, gated: list[str], state: dict) -> dict:
     info = dict(runs[0]["info"])
-    for key in ("seed", "grid_shift_cells"):
+    for key in ("seed", "grid_shift_cells", "commit"):
         info.pop(key, None)
+    info.update(state)
     return {
         "info": info,
         "correct": all(r["correct"] for r in runs) and trace["correct"],
@@ -85,17 +103,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in benchmark["workloads"]])
-    parser.add_argument("--seconds", type=int, default=benchmark["run_seconds"])
     parser.add_argument("--baseline", type=Path,
                         help="another checkout to run against, e.g. the parent commit")
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
     sides = {"change": ROOT}
     if args.baseline is not None:
         sides["baseline"] = args.baseline.resolve()
 
+    states = {side: checkout_state(checkout) for side, checkout in sides.items()}
     record = {
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "trace_seconds": TRACE_SECONDS,
         "seeds": args.seeds,
         "workloads": {},
@@ -105,7 +124,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                runs[side].append(run_bench(sides[side], workload, seed, args.seconds, 0))
+                runs[side].append(run_bench(sides[side], workload, seed, seconds, 0))
                 print(f"{workload} seed={seed} {side}: run_s="
                       f"{runs[side][-1]['metrics']['run_s']['value']:.4g}", file=sys.stderr)
         entry = {
@@ -113,6 +132,7 @@ def main(argv=None) -> int:
                 runs[side],
                 run_bench(checkout, workload, args.seeds[0], TRACE_SECONDS, 1),
                 gated,
+                states[side],
             )
             for side, checkout in sides.items()
         }
