@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class MassCurve:
     ``grid_policy`` describes how the grid was built and ``s_start`` records
     the launch point of a per-rho trajectory (the eta = 0 orbit starts no
     later than its equivalent for any rho), which root refinement reuses.
+    ``orbit`` is the eta = 0 orbit the curve was read off, kept for root
+    refinement; it is not serialized, compared or shown.  A curve built by
+    hand has none, and its roots are refined by per-rho shoots at every eta.
     """
 
     model: ModelSpec
@@ -77,6 +80,7 @@ class MassCurve:
     grid_policy: str
     s_start: float = -20.0
     failures: tuple[tuple[float, str], ...] = ()
+    orbit: Trajectory | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(r), float(m)) for r, m in self.points)
@@ -270,9 +274,9 @@ def mass_curve(
     """Scan the shooting map on a log-spaced density grid.
 
     At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`),
-    so ``cfg.max_steps`` budgets that whole orbit and a numeric error fails all
-    points at once; otherwise each point is shot, and fails, on its own.  Failed
-    points are recorded under ``failures`` instead of aborting the scan.
+    kept as the curve's ``orbit``; ``cfg.max_steps`` budgets that whole orbit and
+    a numeric error fails all points at once.  Otherwise each point is shot, and
+    fails, on its own.  Failures go to ``failures`` instead of aborting the scan.
     """
     if not (math.isfinite(rho_min) and math.isfinite(rho_max) and 0.0 < rho_min < rho_max):
         raise ConfigError(
@@ -286,6 +290,7 @@ def mass_curve(
     grid = np.logspace(math.log10(rho_min), math.log10(rho_max), n)
     points: list[tuple[float, float]] = []
     failures: list[tuple[float, str]] = []
+    orbit = None
     if model.eta == 0.0:
         try:
             orbit = _classical_orbit(model, grid[0], grid[-1], cfg, s_start)
@@ -310,6 +315,7 @@ def mass_curve(
         grid_policy=policy,
         s_start=float(s_start),
         failures=tuple(failures),
+        orbit=orbit,
     )
 
 
@@ -320,8 +326,9 @@ def count_solutions(
 
     Sign changes of M(rho) - M_target between adjacent curve points are each
     refined by Brent's method in u = log rho on the shooting map, not on an
-    interpolant of the curve: at eta = 0 on the dense output of the curve's
-    orbit, rebuilt once, and otherwise by one trajectory per Brent step.
+    interpolant of the curve: on the dense output of the curve's ``orbit``
+    when it has one (eta = 0), and otherwise by one trajectory per Brent
+    step; bracket ends read the curve's own masses.
     Brent stops at ``cfg.root_tol`` in u (absolute plus relative), so that
     tolerance and the accuracy of the shooting map set the roots' relative
     error.  Roots are listed in increasing order.  A target outside the
@@ -341,9 +348,7 @@ def count_solutions(
         return 0, ()
     log_rhos = np.log(rhos)
     known = dict(zip(log_rhos.tolist(), gaps.tolist()))  # bracket ends: already shot
-    model, orbit = curve.model, None
-    if model.eta == 0.0:
-        orbit = _classical_orbit(model, rhos[0], rhos[-1], cfg, curve.s_start)
+    model, orbit = curve.model, curve.orbit
 
     def gap(u: float) -> float:
         if u in known:
@@ -353,17 +358,12 @@ def count_solutions(
         return mass_of_density(model, math.exp(u), cfg, curve.s_start) - M_target
 
     roots: list[float] = []
-    for i in range(len(gaps) - 1):
-        ga, gb = gaps[i], gaps[i + 1]
-        if ga == 0.0 and (i == 0 or gaps[i - 1] != 0.0):
+    for i, g in enumerate(gaps):
+        if g == 0.0 and (i == 0 or gaps[i - 1] != 0.0):
             roots.append(float(rhos[i]))
-            continue
-        if ga * gb >= 0.0:
-            continue
-        u = find_root_monotone(gap, float(log_rhos[i]), float(log_rhos[i + 1]), cfg)
-        roots.append(math.exp(u))
-    if gaps[-1] == 0.0 and (len(gaps) < 2 or gaps[-2] != 0.0):
-        roots.append(float(rhos[-1]))
+        elif i + 1 < len(gaps) and g * gaps[i + 1] < 0.0:
+            u = find_root_monotone(gap, float(log_rhos[i]), float(log_rhos[i + 1]), cfg)
+            roots.append(math.exp(u))
     return len(roots), tuple(roots)
 
 
@@ -435,14 +435,14 @@ def apriori_bound_audit(
 
     Both sides carry a common factor e^{2s} beyond that, so the audit
     evaluates the ratio (d x e^{-2s} S) / (rho0 max S), which the monotone
-    entry property caps at 1.  The classical kind has S identically zero and
-    reports a zero ratio.
+    entry property caps at 1.  Classical statistics (any kind at eta = 0) have
+    S identically zero and report a zero ratio.
     """
     if not (math.isfinite(rho0) and rho0 > 0.0):
         raise ConfigError(f"rho0 must be positive, got {rho0!r}")
     if not (math.isfinite(rho) and 0.0 < rho <= rho0):
         raise ConfigError(f"need 0 < rho <= rho0, got rho={rho!r}, rho0={rho0!r}")
-    if model.kind is ModelKind.MAXWELL_BOLTZMANN:
+    if model.eta == 0.0:
         return AprioriBoundReport(
             rho0=float(rho0), rho=float(rho), sup_ratio=0.0, s_bar=0.0,
             max_relative_violation=0.0,

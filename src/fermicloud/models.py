@@ -222,10 +222,11 @@ class _FullFd:
     ``H = v + log Gamma(d/2) + log(mu/2)`` (the chemical potential) and
     ``P = (mu/2) f_(d/2)(v) / (d/2)`` (the ideal Fermi gas pressure; the
     order-d/2 evaluator is built on first use).  Below the proxy's window the
-    ratio is exactly 1 (including where ``2 z / mu`` underflows to 0), and
-    there R = z, H = log z and P = z exactly.  The defect is a pure rescaling
-    of the dimension's, so ``C_eta = (2/mu)^(2/d) C(d)`` with C(d) from
-    :func:`fermi.bound_constant_C`.
+    ratio is exactly 1 (also where ``2 z / mu`` underflows to 0): R = z,
+    H = log z and P = z exactly, and S is the classical series' first term
+    ``z w 2^(-d/2) / Gamma(d/2)``, w = 2 z / mu, not z - R = 0.  The defect is
+    a pure rescaling of the dimension's, so ``C_eta = (2/mu)^(2/d) C(d)``
+    with C(d) from :func:`fermi.bound_constant_C`.
     """
 
     def __init__(self, model: ModelSpec):
@@ -235,6 +236,7 @@ class _FullFd:
         self._ratio = self.proxy.ratio
         self._wscale = 2.0 / self.mu
         self._w_lo = math.exp(self.proxy.window[0])
+        self._s_lead = 2.0 ** (-0.5 * model.d) / math.gamma(0.5 * model.d)
         self._inner = fermi.cached_evaluator(model.d / 2.0 - 1.0)
         self._h_shift = math.lgamma(model.d / 2.0) + math.log(0.5 * self.mu)
 
@@ -242,6 +244,9 @@ class _FullFd:
         return z * min(self._ratio(self._wscale * z), 1.0)
 
     def S(self, z: float) -> float:
+        w = self._wscale * z
+        if w <= self._w_lo:
+            return z * w * self._s_lead
         return z - self.R(z)
 
     def H(self, z: float) -> float:

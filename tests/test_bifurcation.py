@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestMassCurve:
         doc = json.loads(target.read_text())
         assert doc["grid"]["policy"] == small_curve.grid_policy
 
+    def test_orbit_is_not_part_of_the_value(self, small_curve):
+        assert small_curve.orbit is not None
+        c = small_curve
+        rebuilt = MassCurve(MB3, c.points, c.grid_policy, c.s_start, c.failures)
+        assert rebuilt.orbit is None
+        assert rebuilt == c
+        assert hash(rebuilt) == hash(c)
+        assert "orbit" not in repr(c)
+        assert "orbit" not in json.dumps(c.to_json_dict())
+
+    def test_per_rho_curve_has_no_orbit(self, sfd_curve):
+        assert sfd_curve.orbit is None
+
     @pytest.mark.parametrize(
         "points",
         [((1.0, -2.0),), ((0.0, 1.0),), ((2.0, 1.0), (1.0, 2.0)), ((1.0, math.nan),)],
@@ -222,6 +236,9 @@ class TestCountSolutions:
         n, _ = count_solutions(sfd_curve, 2.0 * sigma_d(3))
         assert n == 1
         assert len(calls) <= 10 * n
+        # bracket ends are read off the curve, never shot again
+        grid = sfd_curve.rhos
+        assert all(np.abs(args[1] / grid - 1.0).min() > 1e-9 for args in calls)
 
     def test_classical_route_integrates_one_orbit_per_call(self, monkeypatch):
         orbits, shoots = [], []
@@ -240,8 +257,29 @@ class TestCountSolutions:
         assert len(orbits) == 1
         n, _ = count_solutions(curve, 2.0 * sigma_d(3))
         assert n == 3  # the fourth crossing lies past 1e6
-        assert len(orbits) == 2
+        assert len(orbits) == 1  # root refinement reads the curve's orbit
         assert shoots == []
+
+    def test_hand_built_classical_curve_refines_by_shooting(self, monkeypatch):
+        # a curve built by hand carries no orbit: its roots are shot per rho,
+        # and agree with the orbit's to the solver's accuracy
+        curve = mass_curve(MB3, 1e-2, 1e6, points_per_decade=8)
+        by_hand = MassCurve(MB3, curve.points, "manual", curve.s_start)
+        assert by_hand.orbit is None
+        shoots = []
+
+        def counted_shoot(*args, **kwargs):
+            shoots.append(args)
+            return mass_of_density(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "mass_of_density", counted_shoot)
+        target = 2.0 * sigma_d(3)
+        n, roots = count_solutions(curve, target)
+        assert shoots == []
+        n_hand, roots_hand = count_solutions(by_hand, target)
+        assert shoots
+        assert n_hand == n == 3
+        np.testing.assert_allclose(roots_hand, roots, rtol=1e-8, atol=0.0)
 
     def test_target_outside_range(self, small_curve):
         lo, hi = small_curve.mass_range()
@@ -364,6 +402,26 @@ class TestAprioriBound:
         report = apriori_bound_audit(MB3, 1.0, 1.0)
         assert report.sup_ratio == 0.0
         assert report.max_relative_violation == 0.0
+        assert report.passed
+
+    def test_apriori_classical_statistics_at_eta_zero(self):
+        # any kind at eta = 0 is classical: S vanishes and the ratio is 0, not 0/0
+        mb = apriori_bound_audit(MB3, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sfd0 = apriori_bound_audit(ModelSpec.simplified_fd(3, 0.0), 1.0, 1.0)
+        assert sfd0 == mb
+        assert sfd0.sup_ratio == 0.0
+
+    def test_apriori_full_kind_below_proxy_window(self):
+        # at d = 9, eta = 1e-4 every density up to rho0 = 1 lies below the
+        # ratio proxy's window; S there is the leading series term, so the
+        # audit measures a finite ratio instead of 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = apriori_bound_audit(ModelSpec.full_fd(9, 1e-4), 1.0, 1.0)
+        assert report.s_bar > 0.0
+        assert math.isfinite(report.sup_ratio)
         assert report.passed
 
     @pytest.mark.parametrize("model", [SFD, ModelSpec.full_fd(3, 1e-2)])

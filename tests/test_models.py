@@ -229,6 +229,30 @@ class TestGap:
         expected = z * 1e-2 * z ** (2.0 / 3.0) / (1.0 + 1e-2 * z ** (2.0 / 3.0))
         assert S_value(SFD, z) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_full_gap_below_proxy_window_is_leading_series_term(self, d):
+        # R(z) rounds to z there, so S is the classical series' first term
+        # z w 2^(-d/2) / Gamma(d/2); its relative error is O(w)
+        model = ModelSpec.full_fd(d, 1e-2)
+        w = 1e-14
+        z = 0.5 * w * model.mu
+        lead = 2.0 ** (-0.5 * d) / math.gamma(0.5 * d)
+        assert S_value(model, z) == pytest.approx(z * w * lead, rel=1e-12)
+
+    def test_full_gap_underflow_pin(self):
+        assert S_value(FFD, 1e-20) == pytest.approx(4.8860251190e-44, rel=1e-10)
+        assert S_value(FFD, 0.0) == 0.0
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_full_gap_series_term_continues_proxy(self, d):
+        # at w = 1e-6, well inside the window, z - R from the proxy carries
+        # the same leading term (the next one is O(w) relative)
+        model = ModelSpec.full_fd(d, 1e-2)
+        w = 1e-6
+        z = 0.5 * w * model.mu
+        lead = 2.0 ** (-0.5 * d) / math.gamma(0.5 * d)
+        assert S_value(model, z) == pytest.approx(z * w * lead, rel=1e-5)
+
     @pytest.mark.parametrize("model", [SFD, FFD], ids=["sfd", "ffd"])
     def test_nonnegative(self, model):
         for z in np.logspace(-8, 8, 33):

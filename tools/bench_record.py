@@ -113,7 +113,9 @@ def main(argv=None) -> int:
 
     states = {side: checkout_state(checkout) for side, checkout in sides.items()}
     record = {
-        "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
+        "trace_command": (f"python3 perfbench/run.py --workload W --seed N "
+                          f"--seconds {TRACE_SECONDS} --trace 1"),
         "seconds": seconds,
         "trace_seconds": TRACE_SECONDS,
         "seeds": args.seeds,
