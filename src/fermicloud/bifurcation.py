@@ -326,9 +326,9 @@ def count_solutions(
 
     Sign changes of M(rho) - M_target between adjacent curve points are each
     refined by Brent's method in u = log rho on the shooting map, not on an
-    interpolant of the curve: on the dense output of the curve's ``orbit``
-    when it has one (eta = 0), and otherwise by one trajectory per Brent
-    step; bracket ends read the curve's own masses.
+    interpolant of the curve: on the curve's ``orbit`` when it has one (eta = 0;
+    its tolerances are the curve's), else by one ``cfg`` shoot per Brent step;
+    bracket ends read the curve's own masses.
     Brent stops at ``cfg.root_tol`` in u (absolute plus relative), so that
     tolerance and the accuracy of the shooting map set the roots' relative
     error.  Roots are listed in increasing order.  A target outside the
