@@ -152,12 +152,9 @@ class Trajectory:
             f"rho={self.rho!r}, s in [{self.s_start!r}, {self.s_end!r}], {n} samples)"
         )
 
-    def _check_range(self, s_arr: np.ndarray) -> None:
+    def _check_range(self, lo: float, hi: float) -> None:
         slack = 1e-9 * max(1.0, self.s_end - self.s_start)
-        if s_arr.size and (
-            float(s_arr.min()) < self.s_start - slack
-            or float(s_arr.max()) > self.s_end + slack
-        ):
+        if lo < self.s_start - slack or hi > self.s_end + slack:
             raise DomainError(
                 f"sample location outside trajectory range "
                 f"[{self.s_start!r}, {self.s_end!r}]"
@@ -165,7 +162,8 @@ class Trajectory:
 
     def _sample(self, s_values, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
         s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
-        self._check_range(s_arr)
+        if s_arr.size:
+            self._check_range(float(s_arr.min()), float(s_arr.max()))
         first = np.empty_like(s_arr)
         second = np.empty_like(s_arr)
         low = s_arr <= self._split if self._plain is not None else np.full(s_arr.shape, True)
@@ -188,9 +186,17 @@ class Trajectory:
         return self.sample_scaled(s_values)[1]
 
     def at(self, s: float) -> State:
-        """State at one log-radius."""
-        x, y = self.sample([s])
-        return State(float(s), float(x[0]), float(y[0]))
+        """State at one log-radius, read with float arithmetic.
+
+        Equal bit for bit to :meth:`sample` at the same point: it reads the
+        same leg and converts with the same ``np.exp``.
+        """
+        s = float(s)
+        self._check_range(s, s)
+        plain = self._plain is not None and s > self._split
+        leg, rescaled = self._legs[plain]
+        x, y = _leg_form(s, *leg(s), rescaled, False, np.exp)
+        return State(s, float(x), float(y))
 
     def _rows(self) -> list[tuple[float, float, float, float]]:
         """(s, x, y, density) at the solver nodes, in increasing s."""

@@ -407,27 +407,31 @@ class ResponseRatioProxy:
     """The full-statistics ratio ``((d-2)/2) zeta(w)/w`` for one dimension d.
 
     The full response is ``R(z) = z * ratio(2 z / mu)``, so every eta of one
-    dimension shares this object.  Inside ``window``, the inner evaluator's
-    range ``(logf_lo, logf_hi)`` of ``t = log w`` for the order ``d/2 - 1``,
-    the ratio is ``exp(g(t))`` with ``g`` a piecewise Chebyshev interpolant
-    on uniform panels at most ``_PANEL_WIDTH`` wide.  Each panel interpolates
+    dimension shares this object.  ``window`` is the inner evaluator's range
+    ``(logf_lo, logf_hi)`` of ``t = log w`` for the order ``d/2 - 1``.  From
+    its bottom to at least ``_ABOVE`` past its top the ratio is
+    ``exp(g(t))``, with ``g`` a piecewise Chebyshev interpolant of degree
+    ``_DEGREE`` on uniform panels at most ``_PANEL_WIDTH`` wide; the window
+    top is a panel edge.  Each panel interpolates
     ``g(t) = log((d-2)/2) + log f_(d/2-2)(f_(d/2-1)^(-1)(e^t)) - t``, composed
     from the two cached order evaluators, at its interior Chebyshev points:
     the composition switches branch exactly at the window edges, so it is
-    never sampled there.  Outside the window the composition has closed
-    forms, and the ratio follows them: below it both orders sit on their
-    classical branch and the ratio is 1 (this covers ``w == 0.0`` as well);
-    above it both sit on the degenerate expansion.
+    never sampled there.  Above the window both orders sit on the degenerate
+    expansion, so the panels there interpolate that closed form.  Below the
+    window both orders sit on their classical branch and the ratio is 1 (this
+    covers ``w == 0.0`` as well); past the last panel the ratio is the
+    degenerate closed form, through the inner evaluator's Newton inverse.
 
-    One evaluation inside the window costs one ``log``, one panel index,
-    one Clenshaw sum and one ``exp``; no Newton iteration runs per call.
+    One evaluation on the panels costs one ``log``, one panel index, one
+    Clenshaw sum and one ``exp``; no Newton iteration runs per call.
     Agreement with the composition and with :func:`zeta_map` is checked in
     the tests.
     """
 
     # Trailing coefficients sit at or below the composition's own noise.
-    _PANEL_WIDTH = 2.0
-    _DEGREE = 32
+    _PANEL_WIDTH = 1.0
+    _DEGREE = 14
+    _ABOVE = 24.0
 
     def __init__(self, d: int):
         self.d = _check_dimension(d)
@@ -440,11 +444,14 @@ class ResponseRatioProxy:
         self.window = (t_lo, t_hi)
         self._t_lo = t_lo
         self._w_lo = math.exp(t_lo)
-        self._w_hi = math.exp(t_hi)
         n = math.ceil((t_hi - t_lo) / self._PANEL_WIDTH)
-        self._n_panels = n
+        width = (t_hi - t_lo) / n
+        n_above = math.ceil(self._ABOVE / width)
         self._edges = [float(e) for e in np.linspace(t_lo, t_hi, n + 1)]
+        self._edges += [t_hi + k * width for k in range(1, n_above + 1)]
+        self._n_panels = n + n_above
         self._inv_width = n / (t_hi - t_lo)
+        self._w_top = math.exp(self._edges[-1])
         log_front = math.log(self._front)
 
         def composed(ts: np.ndarray) -> np.ndarray:
@@ -462,7 +469,7 @@ class ResponseRatioProxy:
         """``R(z)/z`` at ``w = 2 z / mu >= 0``."""
         if w <= self._w_lo:
             return 1.0
-        if w >= self._w_hi:
+        if w >= self._w_top:
             v = self._inner._invert_degenerate(w)
             return self._front * _fermi_degenerate(self._outer_alpha, v) / w
         t = math.log(w)

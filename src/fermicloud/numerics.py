@@ -5,8 +5,8 @@ split point, root finding on a monotone function with automatic bracket
 expansion, and adaptive Runge-Kutta integration with dense output.  The
 first two are thin, carefully-configured wrappers around QUADPACK and Brent's
 method in scipy.  The integrator is the Dormand-Prince 5(4) pair with
-Shampine's quartic dense output, stepped in plain Python floats: the states
-here have one or two components, where array arithmetic costs far more than
+Shampine's quartic dense output, stepped in plain Python floats: every system
+here is planar (two components), where array arithmetic costs far more than
 the vector field.  Its tableau, initial-step heuristic, error norm and step
 controller are those of scipy's ``RK45``, so it takes the same steps.
 
@@ -18,6 +18,7 @@ results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -281,13 +282,14 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
 _EPS = float(np.finfo(float).eps)
+_ROOT_2 = 2**0.5  # the RMS norm of a planar error
 
 # State magnitude at which the solution counts as escaped.
 _HUGE_STATE = 1e300
 
 
 class OdePath:
-    """Dense solution of one ODE solve.
+    """Dense solution of one planar ODE solve.
 
     Holds the accepted step points, the seven stage slopes of every step and
     the solver counters.  The dense output is the quartic interpolant of each
@@ -310,21 +312,48 @@ class OdePath:
         self.nfev = nfev
         self.n_accepted = len(self.ts) - 1
         self.n_rejected = n_rejected
+        self._lo, self._hi = min(self.t0, self.t1), max(self.t0, self.t1)
+        self._slack = 1e-9 * max(1.0, self._hi - self._lo)
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        """Interpolant coefficients K^T P of every step, shape (steps, dim, 4)."""
+        """Interpolant coefficients K^T P of every step, shape (steps, 2, 4)."""
         return np.einsum("mkn,kp->mnp", np.array(self._stages, dtype=float), _P)
 
-    def __call__(self, t):
-        """Evaluate the dense solution at scalar or array ``t``.
+    @cached_property
+    def _keys(self) -> list[float]:
+        """Step points, negated on a backward path so that they increase."""
+        return (self.ts if self.t1 > self.t0 else -self.ts).tolist()
 
-        Scalar ``t`` gives the state vector, array ``t`` an array of shape
-        ``(dim, len(t))``.  A step point belongs to the step that ends there.
+    def __call__(self, t):
+        """Evaluate the dense solution at a float or array-like ``t``.
+
+        A float ``t`` gives the state as a tuple of two floats, read with
+        plain float arithmetic; array-like ``t`` gives an array of shape
+        ``(2,) + shape(t)``.  Both sum the interpolant as
+        ``(c1 x + c3 x^3) + (c2 x^2 + c4 x^4)``, so they agree bit for bit.
+        A step point belongs to the step that ends there.
         """
+        lo, hi, slack = self._lo, self._hi, self._slack
+        if isinstance(t, float):
+            if not lo - slack <= t <= hi + slack:
+                raise DomainError(f"evaluation time outside [{lo!r}, {hi!r}]")
+            t = min(max(float(t), lo), hi)
+            sign = 1.0 if self.t1 > self.t0 else -1.0
+            seg = min(max(bisect_left(self._keys, sign * t) - 1, 0), self.n_accepted - 1)
+            t_old = sign * self._keys[seg]
+            h = sign * self._keys[seg + 1] - t_old
+            x = (t - t_old) / h
+            x2 = x * x
+            x3 = x2 * x
+            x4 = x3 * x
+            (c0, c1, c2, c3), (e0, e1, e2, e3) = self._coeffs[seg].tolist()
+            s0, s1 = self.states[seg].tolist()
+            return (
+                s0 + h * ((c0 * x + c2 * x3) + (c1 * x2 + c3 * x4)),
+                s1 + h * ((e0 * x + e2 * x3) + (e1 * x2 + e3 * x4)),
+            )
         t_arr = np.asarray(t, dtype=float)
-        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        slack = 1e-9 * max(1.0, hi - lo)
         if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
             raise DomainError(f"evaluation time outside [{lo!r}, {hi!r}]")
         tq = np.clip(t_arr, lo, hi).ravel()
@@ -337,11 +366,14 @@ class OdePath:
         t_old = self.ts[seg]
         h = self.ts[seg + 1] - t_old
         x = (tq - t_old) / h
-        powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
-        y = self.states[seg] + h[:, None] * np.einsum(
-            "knp,kp->kn", self._coeffs[seg], powers
+        x2 = x * x
+        x3 = x2 * x
+        c = self._coeffs[seg]
+        poly = (c[..., 0] * x[:, None] + c[..., 2] * x3[:, None]) + (
+            c[..., 1] * x2[:, None] + c[..., 3] * (x3 * x)[:, None]
         )
-        return y.T.reshape(self.states.shape[1:] + t_arr.shape)
+        y = self.states[seg] + h[:, None] * poly
+        return y.T.reshape((2,) + t_arr.shape)
 
     @property
     def end_state(self) -> np.ndarray:
@@ -366,20 +398,21 @@ def _initial_step(field, t0, y0, f0, t1, direction, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _raise_at_crossing(events, active, t_old, t_new, y_old, y_new, step) -> None:
+def _raise_at_crossing(stop_events, active, t_old, t_new, y_old, y_new, step) -> None:
     """Raise for the earliest sign change on one step's interpolant.
 
-    ``events[i]`` is the blow-up event when ``i == 0``; every other index is
-    a caller's stop event.
+    Index 0 in ``active`` is the blow-up event; index ``i > 0`` is
+    ``stop_events[i - 1]``.
     """
     seg = OdePath([t_old, t_new], [y_old, y_new], [step])
+    events = [lambda s, u: _HUGE_STATE - max(abs(u[0]), abs(u[1])), *stop_events]
     roots = []
     for i in active:
-        g = lambda s, ev=events[i]: ev(s, seg(s).tolist())
+        g = lambda s, ev=events[i]: ev(s, list(seg(s)))
         root = brentq(g, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
         roots.append((abs(root - t_old), i, root))
     _, first, root = min(roots)
-    state = seg(root)
+    state = np.array(seg(root))
     if first == 0:
         raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, state)
     raise PositivityError("terminal event fired during integration", root, state)
@@ -394,24 +427,28 @@ def ode_integrate(
     abs_tol: float | Sequence[float] | None = None,
     stop_events: Sequence[Callable[[float, list[float]], float]] = (),
 ) -> OdePath:
-    """Integrate ``u' = field(t, u)`` from ``t0`` to ``t1`` (either direction).
+    """Integrate the planar ``u' = field(t, u)`` from ``t0`` to ``t1`` (either direction).
 
     ``field`` is called once per evaluation with a float ``t`` and the state
-    as a list of floats, and returns a sequence of the same length.  The
-    stepper is the Dormand-Prince 5(4) pair with the step controller of
-    scipy's ``RK45``: its initial-step heuristic, the RMS error norm with
-    scale ``atol + max(|y|, |y_new|) * rtol``, safety 0.9, step factors
-    within [0.2, 10], no growth right after a rejection, and its minimum
-    step.  ``abs_tol`` overrides the configured absolute tolerance (may be
-    per-component).  ``stop_events`` are terminal sign-crossing events,
-    called like ``field``; if one fires a :class:`PositivityError` is raised
-    with the crossing located on the step's interpolant.
+    as a list of two floats, and returns a sequence of two.  The stepper is
+    the Dormand-Prince 5(4) pair with the step controller of scipy's
+    ``RK45``: its initial-step heuristic, the RMS error norm with scale
+    ``atol + max(|y|, |y_new|) * rtol``, safety 0.9, step factors within
+    [0.2, 10], no growth right after a rejection, and its minimum step.
+    Every stage is written out per component in scipy's order of operations,
+    so it takes ``RK45``'s steps.  ``abs_tol`` overrides the configured
+    absolute tolerance (may be per-component).  ``stop_events`` are terminal
+    sign-crossing events, called like ``field``; if one fires a
+    :class:`PositivityError` is raised with the crossing located on the
+    step's interpolant.
 
     The returned :class:`OdePath` carries the counters ``nfev`` (field
     evaluations), ``n_accepted`` and ``n_rejected`` (step attempts).
 
     Raises
     ------
+    DomainError : for equal or non-finite endpoints, or a state that is not
+        two finite components.
     StepLimitError : when more than ``8 * max_steps`` evaluations are needed.
     BlowUpError : when a state component exceeds 1e300 in magnitude, or the
         step size underflows while one exceeds 1e12.
@@ -419,31 +456,31 @@ def ode_integrate(
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise DomainError(f"need distinct finite endpoints, got {t0!r}, {t1!r}")
     y = [float(v) for v in u0]
-    if not y or not all(math.isfinite(v) for v in y):
-        raise DomainError(f"initial state must be finite and non-empty, got {u0!r}")
-    n = len(y)
+    if len(y) != 2 or not all(math.isfinite(v) for v in y):
+        raise DomainError(f"initial state must be two finite components, got {u0!r}")
+    y0, y1 = y
     t0, t1 = float(t0), float(t1)
     rtol = max(cfg.ode_rel_tol, 100 * _EPS)
     tol = cfg.ode_abs_tol if abs_tol is None else abs_tol
     try:
-        atol = np.broadcast_to(np.asarray(tol, dtype=float), (n,)).tolist()
+        atol = np.broadcast_to(np.asarray(tol, dtype=float), (2,)).tolist()
     except ValueError:
-        raise ConfigError(f"abs_tol must be a scalar or have {n} entries, got {tol!r}") from None
+        raise ConfigError(f"abs_tol must be a scalar or have 2 entries, got {tol!r}") from None
     if not all(a >= 0.0 for a in atol):
         raise ConfigError(f"abs_tol must be >= 0, got {tol!r}")
+    at0, at1 = atol
     eval_budget = 8 * cfg.max_steps
     direction = 1.0 if t1 > t0 else -1.0
     toward = direction * math.inf
-    root_n = n**0.5
 
     f = field(t0, y)
-    if len(f) != n:
-        raise DomainError(f"field returned {len(f)} components for a state of {n}")
+    if len(f) != 2:
+        raise DomainError(f"field returned {len(f)} components for a state of 2")
     h_abs = _initial_step(field, t0, y, f, t1, direction, rtol, atol)
     nfev = 2
     n_rejected = 0
-    events = [lambda t, u: _HUGE_STATE - max(map(abs, u)), *stop_events]
-    g = [ev(t0, y) for ev in events]
+    g_huge = _HUGE_STATE - max(abs(y0), abs(y1))
+    g = [ev(t0, y) for ev in stop_events]
     t = t0
     ts = [t]
     states = [y]
@@ -453,11 +490,12 @@ def ode_integrate(
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
+        a0, a1 = k1 = f
         while True:
             if h_abs < min_step:
                 # Step-size underflow with a rapidly grown state is how a
                 # pole shows before the magnitude event can fire.
-                if max(map(abs, y)) > 1e12:
+                if max(abs(y0), abs(y1)) > 1e12:
                     raise BlowUpError(
                         "finite-time explosion (step size underflow)", t, np.array(y)
                     )
@@ -475,45 +513,30 @@ def ode_integrate(
                     f"exceeded {cfg.max_steps} steps integrating from t={t0!r}"
                 )
             nfev += 6
-            k1 = f
-            k2 = field(t + _C2 * h, [v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = field(
-                t + _C3 * h,
-                [v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)],
+            b0, b1 = k2 = field(t + _C2 * h, [y0 + (_A21 * a0) * h, y1 + (_A21 * a1) * h])
+            w0 = y0 + (_A31 * a0 + _A32 * b0) * h
+            w1 = y1 + (_A31 * a1 + _A32 * b1) * h
+            c0, c1 = k3 = field(t + _C3 * h, [w0, w1])
+            w0 = y0 + (_A41 * a0 + _A42 * b0 + _A43 * c0) * h
+            w1 = y1 + (_A41 * a1 + _A42 * b1 + _A43 * c1) * h
+            d0, d1 = k4 = field(t + _C4 * h, [w0, w1])
+            w0 = y0 + (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0) * h
+            w1 = y1 + (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1) * h
+            e0, e1 = k5 = field(t + _C5 * h, [w0, w1])
+            w0 = y0 + (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0) * h
+            w1 = y1 + (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1) * h
+            p0, p1 = k6 = field(t + h, [w0, w1])
+            n0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * p0)
+            n1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * p1)
+            y_new = [n0, n1]
+            q0, q1 = k7 = field(t + h, y_new)
+            r0 = (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * p0 + _E7 * q0) * h / (
+                at0 + max(abs(y0), abs(n0)) * rtol
             )
-            k4 = field(
-                t + _C4 * h,
-                [
-                    v + (_A41 * a + _A42 * b + _A43 * c) * h
-                    for v, a, b, c in zip(y, k1, k2, k3)
-                ],
+            r1 = (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * p1 + _E7 * q1) * h / (
+                at1 + max(abs(y1), abs(n1)) * rtol
             )
-            k5 = field(
-                t + _C5 * h,
-                [
-                    v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-                ],
-            )
-            k6 = field(
-                t + h,
-                [
-                    v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-                ],
-            )
-            y_new = [
-                v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
-                for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = field(t + h, y_new)
-            err2 = 0.0
-            for v, w, a, c, d, e, p, q, at in zip(y, y_new, k1, k3, k4, k5, k6, k7, atol):
-                r = (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h / (
-                    at + max(abs(v), abs(w)) * rtol
-                )
-                err2 += r * r
-            error_norm = math.sqrt(err2) / root_n
+            error_norm = math.sqrt(r0 * r0 + r1 * r1) / _ROOT_2
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = _MAX_FACTOR
@@ -528,17 +551,19 @@ def ode_integrate(
             n_rejected += 1
 
         step = (k1, k2, k3, k4, k5, k6, k7)
-        g_new = [ev(t_new, y_new) for ev in events]
-        # The blow-up event counts downward crossings only; stop events any.
-        active = [
-            i
-            for i, (a, b) in enumerate(zip(g, g_new))
-            if (a >= 0.0 and b <= 0.0) or (i > 0 and a <= 0.0 and b >= 0.0)
+        huge = _HUGE_STATE - max(abs(n0), abs(n1))
+        g_new = [ev(t_new, y_new) for ev in stop_events]
+        # The blow-up event (index 0) counts downward crossings only; stop
+        # events any.
+        active = [0] if g_huge >= 0.0 >= huge else []
+        active += [
+            i for i, (a, b) in enumerate(zip(g, g_new), 1) if a >= 0.0 >= b or a <= 0.0 <= b
         ]
         if active:
-            _raise_at_crossing(events, active, t, t_new, y, y_new, step)
-        g = g_new
+            _raise_at_crossing(stop_events, active, t, t_new, y, y_new, step)
+        g_huge, g = huge, g_new
         t, y, f = t_new, y_new, k7
+        y0, y1 = n0, n1
         ts.append(t)
         states.append(y)
         stages.append(step)

@@ -342,6 +342,22 @@ class TestResponseRatioProxy:
             assert abs(above - below) <= 1e-12 * below
 
     @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_panels_continue_above_window(self, d):
+        # past the window top the panels interpolate the closed degenerate
+        # form; the Newton inverse takes over only at the last panel edge
+        proxy = cached_ratio_proxy(d)
+        t_hi = proxy.window[1]
+        top = proxy._edges[-1]
+        assert top >= t_hi + 24.0
+        for t in np.linspace(t_hi, top, 1201)[1:]:
+            w = math.exp(float(t))
+            assert proxy.ratio(w) == pytest.approx(composed_ratio(d, w), rel=1e-12)
+        w = math.exp(top)
+        below = proxy.ratio(math.nextafter(w, 0.0))
+        above = proxy.ratio(math.nextafter(w, math.inf))
+        assert abs(above - below) <= 1e-12 * below
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
     def test_identity_below_window(self, d):
         proxy = cached_ratio_proxy(d)
         for w in (0.0, 5e-324, 1e-200, math.exp(proxy.window[0])):

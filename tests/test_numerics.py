@@ -24,12 +24,15 @@ from fermicloud.numerics import (
 )
 
 
+# Planar decay: u = (e^{-t}, e^{-2t}) from (1, 1) at t = 0.
+DECAY = lambda t, u: [-u[0], -2.0 * u[1]]
+
 # A forward oscillator and an exponential decay integrated backward.
 CLOSED_FORM_CASES = pytest.mark.parametrize(
     "field,t0,u0,t1",
     [
         (lambda t, u: [u[1], -u[0]], 0.0, [1.0, 0.0], 20.0),
-        (lambda t, u: [-u[0]], 3.0, [1.0], -2.0),
+        (DECAY, 3.0, [1.0, 1.0], -2.0),
     ],
     ids=["oscillator", "backward-decay"],
 )
@@ -122,11 +125,11 @@ class TestMonotoneRootFinder:
 
 class TestOdeIntegrate:
     def test_exponential_decay(self):
-        path = ode_integrate(lambda t, u: [-u[0]], 0.0, [1.0], 5.0)
+        path = ode_integrate(DECAY, 0.0, [1.0, 1.0], 5.0)
         assert path.end_state[0] == pytest.approx(math.exp(-5.0), rel=1e-8)
 
     def test_dense_output_matches_closed_form(self):
-        path = ode_integrate(lambda t, u: [-u[0]], 0.0, [1.0], 5.0)
+        path = ode_integrate(DECAY, 0.0, [1.0, 1.0], 5.0)
         ts = np.linspace(0.0, 5.0, 37)
         states = path(ts)  # shape (dim, n)
         assert np.allclose(states[0], np.exp(-ts), rtol=1e-8, atol=0)
@@ -138,28 +141,30 @@ class TestOdeIntegrate:
         assert x**2 + v**2 == pytest.approx(1.0, rel=1e-7)
 
     def test_dense_output_rejects_exterior_query(self):
-        path = ode_integrate(lambda t, u: [-u[0]], 0.0, [1.0], 1.0)
+        path = ode_integrate(DECAY, 0.0, [1.0, 1.0], 1.0)
         with pytest.raises(DomainError):
             path([2.0])
 
     def test_step_budget_exhaustion(self):
         cfg = NumericsConfig(max_steps=3)
         with pytest.raises(StepLimitError):
-            ode_integrate(lambda t, u: [math.sin(50.0 * t) * u[0]], 0.0, [1.0], 50.0, cfg)
+            ode_integrate(
+                lambda t, u: [math.sin(50.0 * t) * u[0], u[0]], 0.0, [1.0, 0.0], 50.0, cfg
+            )
 
     def test_blow_up_detected(self):
         # u' = u^2 from u(0)=1 blows up at t=1
         with pytest.raises(BlowUpError) as exc:
-            ode_integrate(lambda t, u: [u[0] ** 2], 0.0, [1.0], 2.0)
+            ode_integrate(lambda t, u: [u[0] ** 2, 0.0], 0.0, [1.0, 0.0], 2.0)
         assert exc.value.t < 1.0
 
     def test_stop_event_fires(self):
         # linear descent crosses zero at t=1
         with pytest.raises(PositivityError) as exc:
             ode_integrate(
-                lambda t, u: [-1.0],
+                lambda t, u: [-1.0, 0.0],
                 0.0,
-                [1.0],
+                [1.0, 0.0],
                 3.0,
                 stop_events=(lambda t, u: u[0],),
             )
@@ -167,13 +172,27 @@ class TestOdeIntegrate:
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(DomainError):
-            ode_integrate(lambda t, u: [0.0], 1.0, [1.0], 1.0)
+            ode_integrate(lambda t, u: [0.0, 0.0], 1.0, [1.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("u0", [[1.0], [1.0, 0.0, 0.0]], ids=["one", "three"])
+    def test_non_planar_state_rejected(self, u0):
+        with pytest.raises(DomainError):
+            ode_integrate(lambda t, u: [-v for v in u], 0.0, u0, 1.0)
 
     def test_per_component_abs_tol(self):
         # second component stays near 1e-12; per-component atol keeps it resolved
         field = lambda t, u: [-u[0], -u[1]]
         path = ode_integrate(field, 0.0, [1.0, 1e-12], 3.0, abs_tol=np.array([1e-14, 1e-26]))
         assert path.end_state[1] == pytest.approx(1e-12 * math.exp(-3.0), rel=1e-6)
+
+    @CLOSED_FORM_CASES
+    def test_scalar_read_matches_array_read(self, field, t0, u0, t1):
+        # a float is read with plain floats, an array with numpy: same bits
+        path = ode_integrate(field, t0, u0, t1)
+        ts = np.concatenate([path.ts, np.linspace(t0, t1, 401)])
+        arrays = path(ts)
+        for k, t in enumerate(ts.tolist()):
+            assert path(t) == (arrays[0, k], arrays[1, k])
 
     @CLOSED_FORM_CASES
     def test_counters(self, field, t0, u0, t1):
@@ -183,8 +202,8 @@ class TestOdeIntegrate:
         assert path.n_accepted == len(path.ts) - 1
 
 
-def _mb_scaled_leg(rho, monkeypatch):
-    """The field, arguments and path of the scaled leg of one mb shoot."""
+def _first_solve(run, monkeypatch):
+    """The field, arguments and path of the first ODE solve that ``run`` makes."""
     calls = []
 
     def recording(field, *args, **kwargs):
@@ -193,7 +212,7 @@ def _mb_scaled_leg(rho, monkeypatch):
         return path
 
     monkeypatch.setattr(dynamics, "ode_integrate", recording)
-    dynamics.integrate_trajectory(ModelSpec.maxwell_boltzmann(3), rho)
+    run()
     (field, (t0, u0, t1, cfg), kwargs, path) = calls[0]
     return field, t0, u0, t1, cfg.ode_rel_tol, kwargs["abs_tol"], path
 
@@ -221,5 +240,11 @@ class TestOdeIntegrateMatchesScipyRK45:
 
     @pytest.mark.parametrize("rho", [1e-2, 1e4])
     def test_mb_scaled_field(self, rho, monkeypatch):
-        field, t0, u0, t1, rtol, atol, path = _mb_scaled_leg(rho, monkeypatch)
+        run = lambda: dynamics.integrate_trajectory(ModelSpec.maxwell_boltzmann(3), rho)
+        field, t0, u0, t1, rtol, atol, path = _first_solve(run, monkeypatch)
+        self._compare(path, field, t0, u0, t1, rtol, atol)
+
+    def test_radial_field(self, monkeypatch):
+        run = lambda: dynamics.radial_Q_integrate(ModelSpec.simplified_fd(9, 1e-2), 2.0)
+        field, t0, u0, t1, rtol, atol, path = _first_solve(run, monkeypatch)
         self._compare(path, field, t0, u0, t1, rtol, atol)
