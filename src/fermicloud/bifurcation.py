@@ -476,12 +476,12 @@ def difference_residual_audit(
         w' = (2 - d) w + v
         v' = (2 - x_mb) v - y_fd w + x_fd e^{2s} S(e^{-2s} y_fd)
 
-    on the interior of the shared grid.  The reference trajectory must be of
-    the classical kind; the source term uses the degenerate trajectory's
-    model (and vanishes when that is classical too).
+    on the interior of the shared grid.  The reference trajectory must have
+    classical statistics (eta = 0, of either kind); the source term uses the
+    degenerate trajectory's model (and vanishes when that is classical too).
     """
-    if mb_traj.model.kind is not ModelKind.MAXWELL_BOLTZMANN:
-        raise ConfigError("reference trajectory must be of the classical kind")
+    if mb_traj.model.eta != 0.0:
+        raise ConfigError("reference trajectory must have classical statistics (eta = 0)")
     if fd_traj.model.d != d or mb_traj.model.d != d:
         raise ConfigError(
             f"dimension mismatch: d={d}, trajectories have "
@@ -509,12 +509,12 @@ def difference_residual_audit(
 
     w_lo, v_lo = gap_arrays(inner - h)
     w_hi, v_hi = gap_arrays(inner + h)
-    w, v = gap_arrays(inner)
+    x_fd, y_fd = fd_traj.sample(inner)
+    x_mb, y_mb = mb_traj.sample(inner)
+    w, v = x_fd - x_mb, y_fd - y_mb
     dw = (w_hi - w_lo) / (2.0 * h)
     dv = (v_hi - v_lo) / (2.0 * h)
 
-    x_mb, _ = mb_traj.sample(inner)
-    x_fd, y_fd = fd_traj.sample(inner)
     xt_fd, yt_fd = fd_traj.sample_scaled(inner)
     source = np.array([S_value(fd_traj.model, float(z)) for z in yt_fd])
     rhs_w = (2.0 - d) * w + v

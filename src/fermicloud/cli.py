@@ -174,11 +174,11 @@ class RunConfig:
 
 
 def _emit(run: RunConfig, write, summary_lines) -> None:
-    """Write the artifact to --out (summary to stdout) or to stdout alone."""
+    """Write the artifact to --out (summary to stdout) or to stdout (summary to stderr)."""
     write(sys.stdout if run.out is None else run.out)
-    if run.out is not None:
-        for line in summary_lines:
-            print(line)
+    summary = sys.stderr if run.out is None else sys.stdout
+    for line in summary_lines:
+        print(line, file=summary)
 
 
 def _emit_json(run: RunConfig, payload: dict, summary_lines) -> None:
@@ -222,7 +222,7 @@ def cmd_phase(run: RunConfig) -> int:
         f"rows: {len(traj.samples)}",
         "end state: s=%.6g x=%.9g y=%.9g" % (end.s, end.x, end.y),
     ]
-    lyap = model.kind is ModelKind.MAXWELL_BOLTZMANN
+    lyap = model.eta == 0.0
     _emit(run, lambda destination: traj.to_csv(destination, lyapunov_column=lyap), summary)
     return 0
 

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import ModelKind, ModelSpec, response_fn, _check_d
+from .models import ModelSpec, response_fn, _check_d
 from .numerics import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -294,8 +294,7 @@ def rhs_nonautonomous(model: ModelSpec, s: float, x: float, y: float) -> tuple[f
 
 def rhs_autonomous(d: int, x: float, y: float) -> tuple[float, float]:
     """Vector field of the classical system: ``((2-d)x + y, (2-x)y)``."""
-    d = _check_d(d)
-    return (2.0 - d) * x + y, (2.0 - x) * y
+    return _plain_field(ModelSpec.maxwell_boltzmann(d))(0.0, (x, y))
 
 
 def initial_state(d: int, rho: float, s_start: float) -> State:
@@ -427,7 +426,7 @@ def lyapunov_decay_check(
     step_tol: float = 1e-9,
     identity_rtol: float = 1e-3,
 ) -> LyapunovReport:
-    """Audit Lyapunov decay along a classical-kind trajectory.
+    """Audit Lyapunov decay along a trajectory with classical statistics (eta = 0).
 
     Samples L on a uniform grid of ``n_samples`` points, requires every
     step increment <= ``step_tol``, and compares centered-difference
@@ -436,8 +435,8 @@ def lyapunov_decay_check(
     """
     if not isinstance(traj, Trajectory):
         raise ConfigError(f"need a Trajectory, got {traj!r}")
-    if traj.model.kind is not ModelKind.MAXWELL_BOLTZMANN:
-        raise ConfigError("Lyapunov decay is a property of the classical kind only")
+    if traj.model.eta != 0.0:
+        raise ConfigError("Lyapunov decay is a property of classical statistics (eta = 0) only")
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 3):
         raise ConfigError(f"need at least 3 samples, got {n_samples!r}")
     d = traj.model.d

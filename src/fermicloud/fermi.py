@@ -29,13 +29,13 @@ test suite, so the quadrature stays the single source of truth.
 Hot-loop evaluators
 -------------------
 * :class:`FermiEvaluator` proxies ``log f_alpha`` of one order by Chebyshev
-  panels fitted to the quadrature, with a guarded Newton inverse.
+  panels fitted to the quadrature, with a Brent inverse on a seed table.
 * :class:`ResponseRatioProxy` serves the full-statistics response.  With
   ``w = 2 z / mu`` its ratio is ``R(z)/z = ((d-2)/2) zeta(w)/w``, ``zeta``
   the composition :func:`zeta_map`, so it depends on d only; eta enters
   through the scale ``2/mu`` alone.  One piecewise Chebyshev interpolant of
   ``log(R/z)`` in ``log w``, sampled once per dimension from the composition
-  of the two order evaluators, replaces the per-call Newton inverse; the
+  of the two order evaluators, replaces the per-call Brent inverse; the
   closed forms bound it on both sides.  The dimension constant C(d) of
   :func:`bound_constant_C`, the peak of ``w^(-2/d) (1 - ratio(w))``, is
   read from the same proxy.
@@ -44,11 +44,12 @@ Hot-loop evaluators
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
 from .numerics import (
@@ -74,6 +75,7 @@ __all__ = [
 CLASSICAL_CUTOFF = -30.0
 DEGENERATE_CUTOFF = 60.0
 _QUAD_SPLIT_MARGIN = 30.0  # the quadrature splits this far past the edge
+_BRENT_XTOL = _BRENT_RTOL = 4.0 * np.finfo(float).eps  # the evaluator's inverse
 
 # 2 * eta(2n) for the degenerate tail corrections, eta the alternating zeta.
 _DEGEN_COEFF = (
@@ -172,6 +174,11 @@ def fermi_asymptotic(alpha: float, z: float, branch: str) -> float:
     raise DomainError(f"branch must be 'classical' or 'degenerate', got {branch!r}")
 
 
+def _degenerate_ceiling(alpha: float, y: float) -> float:
+    """The degenerate inverse of f_alpha(v) = y, padded to lie above the root."""
+    return 1.2 * math.exp(math.log((alpha + 1.0) * y) / (alpha + 1.0)) + 10.0
+
+
 def fermi_f_inverse(alpha: float, y: float) -> float:
     """Solve f_alpha(z) = y for z (y > 0).
 
@@ -185,11 +192,9 @@ def fermi_f_inverse(alpha: float, y: float) -> float:
     y = float(y)
     if not math.isfinite(y) or y <= 0.0:
         raise DomainError(f"need finite y > 0, got {y!r}")
-    gam = _gamma1p(alpha)
-    z_classical = math.log(y / gam)
-    z_degenerate = math.exp(math.log((alpha + 1.0) * y) / (alpha + 1.0))
+    z_classical = math.log(y / _gamma1p(alpha))
     lo = z_classical
-    hi = max(z_classical + 1.0, 1.2 * z_degenerate + 10.0)
+    hi = max(z_classical + 1.0, _degenerate_ceiling(alpha, y))
     log_y = math.log(y)
 
     def g(v: float) -> float:
@@ -294,8 +299,10 @@ class FermiEvaluator:
     scalar evaluation (the sampler of :class:`ResponseRatioProxy`, for one);
     the public :func:`fermi_f` stays pure quadrature in the midrange.
 
-    The inverse seeds a guarded Newton iteration from a precomputed value
-    table, so results depend only on the query, never on call history.
+    The inverse is one Brent search on ``log_value`` over the two nodes of a
+    precomputed value table around the target (above the window, from the
+    window top to the padded degenerate root), so results depend only on the
+    query, never on call history.
     """
 
     _N_PANELS = 6
@@ -320,12 +327,11 @@ class FermiEvaluator:
             for i in range(self._N_PANELS)
         ]
         self._coef = [tuple(float(c) for c in p.coef) for p in proxies]
-        self._dcoef = [tuple(float(c) for c in p.deriv().coef) for p in proxies]
         # Seed table for the inverse: log f on a dense uniform grid.
-        self._seed_v = np.linspace(self._lo, self._hi, 1537)
-        self._seed_logf = np.array([self._log_mid(v) for v in self._seed_v])
-        self._logf_lo = float(self._seed_logf[0])
-        self._logf_hi = float(self._seed_logf[-1])
+        self._seed_v = [float(v) for v in np.linspace(self._lo, self._hi, 1537)]
+        self._seed_logf = [self._log_mid(v) for v in self._seed_v]
+        self._logf_lo = self._seed_logf[0]
+        self._logf_hi = self._seed_logf[-1]
 
     def _log_mid(self, v: float) -> float:
         i = min(
@@ -333,13 +339,6 @@ class FermiEvaluator:
             self._N_PANELS - 1,
         )
         return _cheb_eval(self._coef[i], self._edges[i], self._edges[i + 1], v)
-
-    def _dlog_mid(self, v: float) -> float:
-        i = min(
-            int((v - self._lo) / (self._hi - self._lo) * self._N_PANELS),
-            self._N_PANELS - 1,
-        )
-        return _cheb_eval(self._dcoef[i], self._edges[i], self._edges[i + 1], v)
 
     def log_value(self, v: float) -> float:
         if v < self._lo:
@@ -352,49 +351,22 @@ class FermiEvaluator:
         return math.exp(self.log_value(v))
 
     def inverse(self, y: float) -> float:
-        """Solve value(v) = y for v; exact branch inverses outside the window."""
+        """Solve value(v) = y for v; the classical branch is inverted exactly."""
         if not y > 0.0:
             raise DomainError(f"need y > 0, got {y!r}")
         target = math.log(y)
         if target <= self._logf_lo:
             return target - self._log_gamma
         if target >= self._logf_hi:
-            return self._invert_degenerate(y)
-        k = int(np.searchsorted(self._seed_logf, target))
-        k = min(max(k, 1), len(self._seed_v) - 1)
-        va, vb = self._seed_v[k - 1], self._seed_v[k]
-        fa, fb = self._seed_logf[k - 1], self._seed_logf[k]
-        v = va + (vb - va) * (target - fa) / (fb - fa)
-        lo, hi = self._lo, self._hi
-        for _ in range(30):
-            err = self._log_mid(v) - target
-            if err > 0.0:
-                hi = v
-            else:
-                lo = v
-            slope = self._dlog_mid(v)
-            v_new = v - err / slope if slope > 0.0 else 0.5 * (lo + hi)
-            if not (lo <= v_new <= hi):
-                v_new = 0.5 * (lo + hi)
-            if abs(v_new - v) < 1e-14 * max(1.0, abs(v)):
-                return v_new
-            v = v_new
-        return v
-
-    def _invert_degenerate(self, y: float) -> float:
-        v = math.exp(math.log((self.alpha + 1.0) * y) / (self.alpha + 1.0))
-        v = max(v, self._hi)
-        for _ in range(40):
-            fv = _fermi_degenerate(self.alpha, v)
-            # d f / d v = v^alpha to this accuracy (occupation edge saturated).
-            step = (fv - y) / v**self.alpha
-            v_new = v - step
-            if v_new <= self._hi:
-                v_new = 0.5 * (v + self._hi)
-            if abs(v_new - v) < 1e-14 * max(1.0, abs(v)):
-                return v_new
-            v = v_new
-        return v
+            lo, hi = self._hi, _degenerate_ceiling(self.alpha, y)
+            ends = {lo: self._logf_hi - target}
+        else:
+            k = bisect_left(self._seed_logf, target)
+            lo, hi = self._seed_v[k - 1], self._seed_v[k]
+            ends = {lo: self._seed_logf[k - 1] - target, hi: self._seed_logf[k] - target}
+        # Brent starts by evaluating both ends: hand it the values already known.
+        return brentq(lambda v: ends[v] if v in ends else self.log_value(v) - target,
+                      lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
 
 
 @_shared(_check_order)
@@ -420,10 +392,10 @@ class ResponseRatioProxy:
     expansion, so the panels there interpolate that closed form.  Below the
     window both orders sit on their classical branch and the ratio is 1 (this
     covers ``w == 0.0`` as well); past the last panel the ratio is the
-    degenerate closed form, through the inner evaluator's Newton inverse.
+    degenerate closed form, through the inner evaluator's Brent inverse.
 
     One evaluation on the panels costs one ``log``, one panel index, one
-    Clenshaw sum and one ``exp``; no Newton iteration runs per call.
+    Clenshaw sum and one ``exp``; no root search runs per call.
     Agreement with the composition and with :func:`zeta_map` is checked in
     the tests.
     """
@@ -470,7 +442,7 @@ class ResponseRatioProxy:
         if w <= self._w_lo:
             return 1.0
         if w >= self._w_top:
-            v = self._inner._invert_degenerate(w)
+            v = self._inner.inverse(w)
             return self._front * _fermi_degenerate(self._outer_alpha, v) / w
         t = math.log(w)
         i = min(int((t - self._t_lo) * self._inv_width), self._n_panels - 1)

@@ -12,7 +12,7 @@ with ``eta * mu^(2/d) = 2 d^(2/d - 1)`` tying the two parameterizations
 together.  The full response is evaluated as ``z * ratio(2 z / mu)``: the
 ratio ``R(z)/z = ((d-2)/2) zeta(w)/w`` of :func:`fermi.zeta_map` depends on
 d only, so one Chebyshev proxy of its logarithm per dimension
-(:func:`fermi.cached_ratio_proxy`) serves every eta, with no Newton
+(:func:`fermi.cached_ratio_proxy`) serves every eta, with no Brent
 inversion per call.
 
 As eta -> 0 both degenerate models collapse onto the classical one; the

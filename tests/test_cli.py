@@ -63,6 +63,17 @@ class TestMassCurveCommand:
         assert rc == 0
         assert "crossings of M=" in capsys.readouterr().out
 
+    def test_target_mass_summary_to_stderr_beside_stdout_artifact(self, tmp_path, capsys):
+        args = ["mass-curve", "--rho-min", "1", "--rho-max", "100",
+                "--points-per-decade", "8", "--mass", str(2.0 * sigma_d(3))]
+        out = tmp_path / "curve.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()  # the artifact, unchanged
+        assert "crossings of M=" in captured.err
+
 
 class TestPhaseCommand:
     def test_classical_kind_gets_lyapunov_column(self, tmp_path):

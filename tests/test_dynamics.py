@@ -13,6 +13,7 @@ from fermicloud import (
     Trajectory,
     comparison_grid,
     density_profile,
+    difference_residual_audit,
     from_radial,
     initial_state,
     integrate_trajectory,
@@ -286,6 +287,15 @@ class TestLyapunov:
         traj = integrate_trajectory(SFD, 1.0)
         with pytest.raises(ConfigError):
             lyapunov_decay_check(traj)
+
+    def test_audits_accept_classical_statistics_of_any_kind(self):
+        # sfd at eta = 0 runs the classical field, so both audits take it
+        mb = integrate_trajectory(MB3, 1.0, s_end=10.0)
+        sfd0 = integrate_trajectory(ModelSpec.simplified_fd(3, 0.0), 1.0, s_end=10.0)
+        assert lyapunov_decay_check(sfd0) == lyapunov_decay_check(mb)
+        reference = difference_residual_audit(3, mb, mb)
+        assert difference_residual_audit(3, mb, sfd0) == reference
+        assert reference.max_abs_residual_v == 0.0
 
     def test_audit_rejects_tiny_grid(self):
         traj = integrate_trajectory(MB3, 1.0)

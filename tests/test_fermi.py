@@ -272,6 +272,17 @@ class TestFermiEvaluator:
         for z in (-40.0, -10.0, 0.0, 25.0, 70.0):
             assert ev.inverse(ev.value(z)) == pytest.approx(z, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 3.5])
+    def test_inverse_roundtrip_on_every_branch(self, alpha):
+        # below the seed table, on it, and above it up to 30 units of log y
+        ev = cached_evaluator(alpha)
+        for t in np.linspace(ev._logf_lo - 20.0, ev._logf_hi + 30.0, 1001):
+            y = math.exp(float(t))
+            assert abs(ev.value(ev.inverse(y)) - y) <= 1e-13 * y
+        for v in np.linspace(-50.0, 400.0, 1001):
+            v = float(v)
+            assert abs(ev.inverse(ev.value(v)) - v) <= 1e-13 * (1.0 + abs(v))
+
     def test_inverse_independent_of_call_history(self):
         ev = FermiEvaluator(0.5)
         target = ev.value(12.0)
@@ -305,7 +316,7 @@ class TestFermiEvaluator:
 
 
 def composed_ratio(d, w):
-    """((d-2)/2) zeta(w)/w through the two order evaluators, Newton inverse included."""
+    """((d-2)/2) zeta(w)/w through the two order evaluators, Brent inverse included."""
     inner = cached_evaluator(d / 2.0 - 1.0)
     outer = cached_evaluator(d / 2.0 - 2.0)
     return 0.5 * (d - 2) * outer.value(inner.inverse(w)) / w
@@ -344,7 +355,7 @@ class TestResponseRatioProxy:
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_panels_continue_above_window(self, d):
         # past the window top the panels interpolate the closed degenerate
-        # form; the Newton inverse takes over only at the last panel edge
+        # form; the Brent inverse takes over only at the last panel edge
         proxy = cached_ratio_proxy(d)
         t_hi = proxy.window[1]
         top = proxy._edges[-1]

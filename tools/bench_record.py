@@ -15,7 +15,10 @@ count ratios, no times).
 
 Each side is labelled by its ``src_sha256`` and by ``commit`` and ``dirty``:
 the checkout's HEAD and whether ``src/`` or ``perfbench/`` differ from it, so a
-run on uncommitted code is never filed under its parent's hash.
+run on uncommitted code is never filed under its parent's hash.  Next to them
+stand the size of the code, as ``perfbench/run.py`` reads it from that
+checkout's ``src/``: ``src_lines`` (the lines of its ``*.py`` files) and
+``public_api_size`` (the length of ``fermicloud.__all__``).
 
 With ``--baseline`` every seed also runs on the other checkout, alternating
 which side goes first, and the file records the baseline's numbers next to
