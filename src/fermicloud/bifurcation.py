@@ -41,7 +41,6 @@ __all__ = [
     "DifferenceResidualReport",
     "MassCurve",
     "apriori_bound_audit",
-    "convergence_reports_json",
     "convergence_study",
     "count_solutions",
     "difference_residual_audit",
@@ -177,11 +176,6 @@ class ConvergenceReport:
         }
 
 
-def convergence_reports_json(reports) -> str:
-    """JSON array for a sequence of :class:`ConvergenceReport`."""
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)
-
-
 @dataclass(frozen=True)
 class AprioriBoundReport:
     """Grid check of the sink-term bound d x S <= rho0 e^{2s} max S.
@@ -274,9 +268,10 @@ def mass_curve(
     """Scan the shooting map on a log-spaced density grid.
 
     At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`),
-    kept as the curve's ``orbit``; ``cfg.max_steps`` budgets that whole orbit and
-    a numeric error fails all points at once.  Otherwise each point is shot, and
-    fails, on its own.  Failures go to ``failures`` instead of aborting the scan.
+    kept as the curve's ``orbit``; each of its two legs (s <= 0 and s > 0) spends
+    one ``cfg.max_steps`` budget, and a numeric error fails all points at once.
+    Otherwise each point is shot, and fails, on its own.  Failures go to
+    ``failures`` instead of aborting the scan.
     """
     if not (math.isfinite(rho_min) and math.isfinite(rho_max) and 0.0 < rho_min < rho_max):
         raise ConfigError(

@@ -42,7 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import ModelSpec, response_fn, _check_d
+from .fermi import _check_dimension
+from .models import ModelSpec, response_fn
 from .numerics import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -304,7 +305,7 @@ def initial_state(d: int, rho: float, s_start: float) -> State:
     with; the relative error of the leading order is O(e^{2 s_start}),
     which motivates the s_start <= -10 requirement.
     """
-    d = _check_d(d)
+    d = _check_dimension(d)
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0.0):
         raise ConfigError(f"central density must be finite and positive, got {rho!r}")
     if not (isinstance(s_start, (int, float)) and math.isfinite(s_start)):
@@ -384,7 +385,7 @@ def lyapunov(d: int, x: float, y: float) -> float:
 
     Nonnegative, vanishing exactly at the sink (2, 2(d-2)).
     """
-    d = _check_d(d)
+    d = _check_dimension(d)
     if not math.isfinite(x):
         raise DomainError(f"need finite x, got {x!r}")
     if not (math.isfinite(y) and y > 0.0):
@@ -472,7 +473,7 @@ def lyapunov_decay_check(
 
 def to_radial(state: State, d: int) -> tuple[float, float, float]:
     """Radial image (r, Q, Q') = (e^s, x e^{(d-2)s}, y e^{(d-3)s}) of a state."""
-    d = _check_d(d)
+    d = _check_dimension(d)
     s = state.s
     try:
         r = math.exp(s)
@@ -487,7 +488,7 @@ def to_radial(state: State, d: int) -> tuple[float, float, float]:
 
 def from_radial(r: float, q: float, qprime: float, d: int) -> State:
     """Inverse of :func:`to_radial`: phase state from (r, Q, Q')."""
-    d = _check_d(d)
+    d = _check_dimension(d)
     if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
         raise DomainError(f"need radius r > 0, got {r!r}")
     x = q / r ** (d - 2)

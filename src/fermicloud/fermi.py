@@ -53,6 +53,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
 from .numerics import (
+    ConfigError,
     DomainError,
     NumericsError,
     find_root_monotone,
@@ -220,7 +221,7 @@ def zeta_map(d: int, w: float) -> float:
 
 def _check_dimension(d: int) -> int:
     if not (isinstance(d, (int, np.integer)) and 3 <= d <= 9):
-        raise DomainError(f"dimension must be an integer in [3, 9], got {d!r}")
+        raise ConfigError(f"dimension must be an integer in [3, 9], got {d!r}")
     return int(d)
 
 

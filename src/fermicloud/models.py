@@ -19,18 +19,17 @@ As eta -> 0 both degenerate models collapse onto the classical one; the
 defect S(z) = z - R(z) >= 0 measures the distance and is majorized by
 ``C(eta) z^(1+2/d)`` with C(eta) -> 0.
 
-Derived quantities: the enthalpy-like primitive H with H'(z) R(z) = 1, and
-the barotropic pressure closure
+Derived quantity: the barotropic pressure closure
 ``p(rho, theta) = theta^(d/2+1) P(rho theta^(-d/2))`` with
 ``P(z) = int_0^z t / R(t) dt``.
 
 Each kind is one private statistics object, built once per model, that
-carries R, S, H, P and the majorant constant C(eta).
+carries R, S, P and the majorant constant C(eta).
 Every one of them is a closed form or a read of the per-dimension Fermi
 tables; no quadrature runs here.  For the full kind, with
-``v = f_(d/2-1)^(-1)(2 z / mu)``, the ideal Fermi gas identities give
-``H = v + log Gamma(d/2) + log(mu/2)`` and ``P = (mu/2) f_(d/2)(v) / (d/2)``
-(Chavanis, PRE 65, 056123, 2002), and the majorant follows from scaling:
+``v = f_(d/2-1)^(-1)(2 z / mu)``, the ideal Fermi gas identity gives
+``P = (mu/2) f_(d/2)(v) / (d/2)`` (Chavanis, PRE 65, 056123, 2002), and the
+majorant follows from scaling:
 ``C(eta) = (2/mu)^(2/d) C(d)``.  Statistics are classical wherever
 eta = 0, whatever the kind.
 """
@@ -44,7 +43,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 from . import fermi
@@ -57,7 +55,6 @@ __all__ = [
     "mu_from_eta",
     "R_value",
     "S_value",
-    "H_value",
     "pressure",
     "response_fn",
     "C_eta_majorant",
@@ -75,22 +72,16 @@ class ModelKind(str, Enum):
 
 def sigma_d(d: int) -> float:
     """Surface measure of the unit sphere in d dimensions, 2 pi^(d/2) / Gamma(d/2)."""
-    d = _check_d(d)
+    d = fermi._check_dimension(d)
     return 2.0 * math.pi ** (d / 2.0) / float(_gamma_fn(d / 2.0))
 
 
 def mu_from_eta(d: int, eta: float) -> float:
     """Degeneracy scale mu solving eta * mu^(2/d) = 2 d^(2/d-1)."""
-    d = _check_d(d)
+    d = fermi._check_dimension(d)
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0.0):
         raise DomainError(f"need finite eta > 0, got {eta!r}")
     return (2.0 * d ** (2.0 / d - 1.0) / eta) ** (d / 2.0)
-
-
-def _check_d(d: int) -> int:
-    if not (isinstance(d, (int, np.integer)) and 3 <= int(d) <= 9):
-        raise ConfigError(f"dimension must be an integer in [3, 9], got {d!r}")
-    return int(d)
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ class ModelSpec:
     mu: float | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        _check_d(self.d)
+        fermi._check_dimension(self.d)
         if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta) and self.eta >= 0.0):
             raise ConfigError(f"eta must be a finite nonnegative real, got {self.eta!r}")
         kind = ModelKind(self.kind)
@@ -160,10 +151,6 @@ class _Classical:
         return 0.0
 
     @staticmethod
-    def H(z: float) -> float:
-        return math.log(z)
-
-    @staticmethod
     def P(z: float) -> float:
         return z
 
@@ -176,8 +163,8 @@ class _SimplifiedFd:
     """Simplified statistics, 1/R = 1/z + eta z^(-1/d), all in closed form.
 
     With u = eta z^(1-1/d): ``R = z/(1+u)``, ``S = z u/(1+u)`` (no
-    cancellation where z and R agree to many digits),
-    ``H = log z + (d/(d-1)) u`` and ``P = z + eta d/(2d-1) z^(2-1/d)``.
+    cancellation where z and R agree to many digits) and
+    ``P = z + eta d/(2d-1) z^(2-1/d)``.
     ``z^(-1-2/d) S = eta^(2/(d-1)) u^p/(1+u)`` with p = (d-3)/(d-1) peaks at
     u = p/(1-p), so ``C_eta = eta^(2/(d-1)) p^p (1-p)^(1-p)``; at d = 3 this
     is eta, the limit z -> 0.
@@ -194,10 +181,6 @@ class _SimplifiedFd:
     def S(self, z: float) -> float:
         u = self.eta * z ** self.p
         return z * u / (1.0 + u)
-
-    def H(self, z: float) -> float:
-        d = self.d
-        return math.log(z) + d / (d - 1.0) * self.eta * z ** self.p
 
     def P(self, z: float) -> float:
         d = self.d
@@ -217,13 +200,11 @@ class _FullFd:
     the scale ``2/mu`` alone.  The ratio is capped at 1 so that R(z) <= z
     holds to the last bit.
 
-    With alpha = d/2 - 1 and ``v = f_alpha^(-1)(2 z / mu)`` from the cached
-    order-alpha evaluator, ``f_alpha' = alpha f_(alpha-1)`` gives
-    ``H = v + log Gamma(d/2) + log(mu/2)`` (the chemical potential) and
-    ``P = (mu/2) f_(d/2)(v) / (d/2)`` (the ideal Fermi gas pressure; the
-    order-d/2 evaluator is built on first use).  Below the proxy's window the
-    ratio is exactly 1 (also where ``2 z / mu`` underflows to 0): R = z,
-    H = log z and P = z exactly, and S is the classical series' first term
+    With ``v = f_(d/2-1)^(-1)(2 z / mu)`` from the cached order-(d/2-1)
+    evaluator, ``P = (mu/2) f_(d/2)(v) / (d/2)`` is the ideal Fermi gas
+    pressure (the order-d/2 evaluator is built on first use).  Below the
+    proxy's window the ratio is exactly 1 (also where ``2 z / mu`` underflows
+    to 0): R = z and P = z exactly, and S is the classical series' first term
     ``z w 2^(-d/2) / Gamma(d/2)``, w = 2 z / mu, not z - R = 0.  The defect is
     a pure rescaling of the dimension's, so ``C_eta = (2/mu)^(2/d) C(d)``
     with C(d) from :func:`fermi.bound_constant_C`.
@@ -238,7 +219,6 @@ class _FullFd:
         self._w_lo = math.exp(self.proxy.window[0])
         self._s_lead = 2.0 ** (-0.5 * model.d) / math.gamma(0.5 * model.d)
         self._inner = fermi.cached_evaluator(model.d / 2.0 - 1.0)
-        self._h_shift = math.lgamma(model.d / 2.0) + math.log(0.5 * self.mu)
 
     def R(self, z: float) -> float:
         return z * min(self._ratio(self._wscale * z), 1.0)
@@ -248,12 +228,6 @@ class _FullFd:
         if w <= self._w_lo:
             return z * w * self._s_lead
         return z - self.R(z)
-
-    def H(self, z: float) -> float:
-        w = self._wscale * z
-        if w <= self._w_lo:
-            return math.log(z)
-        return self._inner.inverse(w) + self._h_shift
 
     def P(self, z: float) -> float:
         w = self._wscale * z
@@ -308,19 +282,6 @@ def S_value(model: ModelSpec, z: float) -> float:
     where z and R(z) agree to many digits.
     """
     return _statistics(model).S(_check_z(z))
-
-
-def H_value(model: ModelSpec, z: float) -> float:
-    """Enthalpy-like primitive H with H'(z) R(z) = 1 and H - log z -> 0 as z -> 0.
-
-    Classical: ``log z``.  Simplified: the closed antiderivative
-    ``log z + (d/(d-1)) eta z^(1-1/d)``.  Full: the chemical potential
-    ``v + log Gamma(d/2) + log(mu/2)`` with ``v = f_(d/2-1)^(-1)(2 z / mu)``.
-    """
-    z = _check_z(z)
-    if z == 0.0:
-        raise DomainError("H diverges at z = 0")
-    return _statistics(model).H(z)
 
 
 def pressure(model: ModelSpec, rho: float, theta: float) -> float:

@@ -109,7 +109,9 @@ class NumericsConfig:
     ----------
     root_tol : absolute/relative bracket tolerance for root finding.
     ode_rel_tol, ode_abs_tol : local error control for the ODE integrator.
-    max_steps : accepted-step budget for a single ODE solve.
+    max_steps : accepted-step budget for a single ODE solve.  At eta = 0
+        a mass curve integrates one orbit in two legs, each spending one
+        budget, so a tight budget fails every grid point at once.
     """
 
     root_tol: float = 1e-12
@@ -312,8 +314,7 @@ class OdePath:
         self.nfev = nfev
         self.n_accepted = len(self.ts) - 1
         self.n_rejected = n_rejected
-        self._lo, self._hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        self._slack = 1e-9 * max(1.0, self._hi - self._lo)
+        self._slack = 1e-9 * max(1.0, self.t1 - self.t0)
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
@@ -322,8 +323,8 @@ class OdePath:
 
     @cached_property
     def _keys(self) -> list[float]:
-        """Step points, negated on a backward path so that they increase."""
-        return (self.ts if self.t1 > self.t0 else -self.ts).tolist()
+        """Step points as floats, for the float read's bisection."""
+        return self.ts.tolist()
 
     def __call__(self, t):
         """Evaluate the dense solution at a float or array-like ``t``.
@@ -334,15 +335,15 @@ class OdePath:
         ``(c1 x + c3 x^3) + (c2 x^2 + c4 x^4)``, so they agree bit for bit.
         A step point belongs to the step that ends there.
         """
-        lo, hi, slack = self._lo, self._hi, self._slack
+        lo, hi, slack = self.t0, self.t1, self._slack
         if isinstance(t, float):
             if not lo - slack <= t <= hi + slack:
                 raise DomainError(f"evaluation time outside [{lo!r}, {hi!r}]")
             t = min(max(float(t), lo), hi)
-            sign = 1.0 if self.t1 > self.t0 else -1.0
-            seg = min(max(bisect_left(self._keys, sign * t) - 1, 0), self.n_accepted - 1)
-            t_old = sign * self._keys[seg]
-            h = sign * self._keys[seg + 1] - t_old
+            keys = self._keys
+            seg = min(max(bisect_left(keys, t) - 1, 0), self.n_accepted - 1)
+            t_old = keys[seg]
+            h = keys[seg + 1] - t_old
             x = (t - t_old) / h
             x2 = x * x
             x3 = x2 * x
@@ -357,12 +358,7 @@ class OdePath:
         if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
             raise DomainError(f"evaluation time outside [{lo!r}, {hi!r}]")
         tq = np.clip(t_arr, lo, hi).ravel()
-        last = self.n_accepted - 1
-        if self.t1 > self.t0:
-            seg = np.searchsorted(self.ts, tq, side="left") - 1
-        else:
-            seg = last + 1 - np.searchsorted(self.ts[::-1], tq, side="right")
-        seg = np.clip(seg, 0, last)
+        seg = np.clip(np.searchsorted(self.ts, tq, side="left") - 1, 0, self.n_accepted - 1)
         t_old = self.ts[seg]
         h = self.ts[seg + 1] - t_old
         x = (tq - t_old) / h
@@ -380,16 +376,16 @@ class OdePath:
         return self.states[-1]
 
 
-def _initial_step(field, t0, y0, f0, t1, direction, rtol, atol) -> float:
+def _initial_step(field, t0, y0, f0, t1, rtol, atol) -> float:
     """scipy's ``select_initial_step`` for a fifth-order pair (one evaluation)."""
     scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
     root_n = len(y0) ** 0.5
     d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, scale))) / root_n
     d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, scale))) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    interval = abs(t1 - t0)
+    interval = t1 - t0
     h0 = min(h0, interval)
-    f1 = field(t0 + h0 * direction, [v + h0 * direction * f for v, f in zip(y0, f0)])
+    f1 = field(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
     d2 = math.sqrt(sum(((b - a) / s) ** 2 for a, b, s in zip(f0, f1, scale))) / root_n / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -410,8 +406,8 @@ def _raise_at_crossing(stop_events, active, t_old, t_new, y_old, y_new, step) ->
     for i in active:
         g = lambda s, ev=events[i]: ev(s, list(seg(s)))
         root = brentq(g, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
-        roots.append((abs(root - t_old), i, root))
-    _, first, root = min(roots)
+        roots.append((root, i))
+    root, first = min(roots)
     state = np.array(seg(root))
     if first == 0:
         raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, state)
@@ -427,7 +423,7 @@ def ode_integrate(
     abs_tol: float | Sequence[float] | None = None,
     stop_events: Sequence[Callable[[float, list[float]], float]] = (),
 ) -> OdePath:
-    """Integrate the planar ``u' = field(t, u)`` from ``t0`` to ``t1`` (either direction).
+    """Integrate the planar ``u' = field(t, u)`` forward from ``t0`` to ``t1``.
 
     ``field`` is called once per evaluation with a float ``t`` and the state
     as a list of two floats, and returns a sequence of two.  The stepper is
@@ -447,14 +443,15 @@ def ode_integrate(
 
     Raises
     ------
-    DomainError : for equal or non-finite endpoints, or a state that is not
-        two finite components.
-    StepLimitError : when more than ``8 * max_steps`` evaluations are needed.
+    DomainError : unless ``t0 < t1``, both finite, or for a state that is
+        not two finite components.
+    StepLimitError : when reaching ``t1`` would take more than ``max_steps``
+        accepted steps.
     BlowUpError : when a state component exceeds 1e300 in magnitude, or the
         step size underflows while one exceeds 1e12.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
-        raise DomainError(f"need distinct finite endpoints, got {t0!r}, {t1!r}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise DomainError(f"need finite endpoints t0 < t1, got {t0!r}, {t1!r}")
     y = [float(v) for v in u0]
     if len(y) != 2 or not all(math.isfinite(v) for v in y):
         raise DomainError(f"initial state must be two finite components, got {u0!r}")
@@ -469,14 +466,11 @@ def ode_integrate(
     if not all(a >= 0.0 for a in atol):
         raise ConfigError(f"abs_tol must be >= 0, got {tol!r}")
     at0, at1 = atol
-    eval_budget = 8 * cfg.max_steps
-    direction = 1.0 if t1 > t0 else -1.0
-    toward = direction * math.inf
 
     f = field(t0, y)
     if len(f) != 2:
         raise DomainError(f"field returned {len(f)} components for a state of 2")
-    h_abs = _initial_step(field, t0, y, f, t1, direction, rtol, atol)
+    h_abs = _initial_step(field, t0, y, f, t1, rtol, atol)
     nfev = 2
     n_rejected = 0
     g_huge = _HUGE_STATE - max(abs(y0), abs(y1))
@@ -485,8 +479,12 @@ def ode_integrate(
     ts = [t]
     states = [y]
     stages = []
-    while direction * (t - t1) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(t, toward) - t)
+    while t < t1:
+        if len(stages) == cfg.max_steps:
+            raise StepLimitError(
+                f"exceeded {cfg.max_steps} steps integrating from t={t0!r}"
+            )
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -503,15 +501,10 @@ def ode_integrate(
                     f"ODE step size underflow at t={t!r}: required step is "
                     f"less than the spacing between numbers"
                 )
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0.0:
+            t_new = t + h_abs
+            if t_new > t1:
                 t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            if nfev + 6 > eval_budget:
-                raise StepLimitError(
-                    f"exceeded {cfg.max_steps} steps integrating from t={t0!r}"
-                )
+            h = h_abs = t_new - t
             nfev += 6
             b0, b1 = k2 = field(t + _C2 * h, [y0 + (_A21 * a0) * h, y1 + (_A21 * a1) * h])
             w0 = y0 + (_A31 * a0 + _A32 * b0) * h

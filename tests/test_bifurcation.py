@@ -17,7 +17,6 @@ from fermicloud import (
     MassCurve,
     ModelSpec,
     apriori_bound_audit,
-    convergence_reports_json,
     convergence_study,
     count_solutions,
     difference_residual_audit,
@@ -374,9 +373,6 @@ class TestConvergenceStudy:
     def test_json_report_fields(self, sfd_reports):
         doc = sfd_reports[0].to_json_dict()
         assert set(doc) == {"eta", "A_eta", "B_eta", "kappa_emp", "sup_uniform_gap"}
-        arr = json.loads(convergence_reports_json(sfd_reports))
-        assert len(arr) == 2
-        assert arr[0]["eta"] == 1e-2
 
     def test_classical_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -20,7 +20,7 @@ from fermicloud.fermi import (
     fermi_f_inverse,
     zeta_map,
 )
-from fermicloud.numerics import DomainError
+from fermicloud.numerics import ConfigError, DomainError
 
 
 def quadrature_oracle(alpha, z):
@@ -309,9 +309,9 @@ class TestFermiEvaluator:
         assert cached_ratio_proxy(np.int32(3)) is proxy
         assert bound_constant_C(np.int64(3)) is bound_constant_C(3)
         # a float dimension is rejected even once the integer one is cached
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             cached_ratio_proxy(3.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             bound_constant_C(3.0)
 
 
@@ -375,5 +375,5 @@ class TestResponseRatioProxy:
             assert proxy.ratio(w) == 1.0
 
     def test_rejects_dimension_out_of_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             cached_ratio_proxy(2)

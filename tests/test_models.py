@@ -11,7 +11,6 @@ from fermicloud.fermi import bound_constant_C, cached_ratio_proxy, fermi_f, ferm
 from fermicloud.models import (
     GAP_MAJORANT_FORM,
     C_eta_majorant,
-    H_value,
     ModelKind,
     ModelSpec,
     R_value,
@@ -259,34 +258,6 @@ class TestGap:
             assert S_value(model, float(z)) >= 0.0
 
 
-class TestEnthalpy:
-    def test_classical_is_log(self):
-        assert H_value(MB3, 2.5) == math.log(2.5)
-
-    def test_derivative_identity(self):
-        # H'(z) R(z) = 1 for every kind
-        h = 1e-6
-        for model in (MB3, SFD, FFD):
-            for z in (0.5, 2.0, 20.0):
-                deriv = (H_value(model, z + h) - H_value(model, z - h)) / (2.0 * h)
-                assert deriv * R_value(model, z) == pytest.approx(1.0, rel=1e-6)
-
-    def test_simplified_closed_form_value(self):
-        # log 1 + (3/2) eta z^(2/3) at z = 1, eta = 1
-        assert H_value(ModelSpec.simplified_fd(3, 1.0), 1.0) == pytest.approx(
-            1.5, rel=1e-14
-        )
-
-    def test_log_singularity_matched(self):
-        # H - log z -> 0 as z -> 0
-        for model, z, tol in [(SFD, 1e-4, 1e-4), (FFD, 1e-3, 1e-5)]:
-            assert H_value(model, z) - math.log(z) == pytest.approx(0.0, abs=tol)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            H_value(SFD, 0.0)
-
-
 class TestPressure:
     def test_classical_ideal_gas(self):
         for rho, theta in [(1.0, 1.0), (3.0, 0.5), (0.1, 7.0)]:
@@ -383,59 +354,50 @@ class TestGapMajorant:
 
 
 class TestFullKindClosedForms:
-    """H and P of the full kind from v = f_(d/2-1)^(-1)(2 z / mu)."""
+    """P of the full kind from v = f_(d/2-1)^(-1)(2 z / mu)."""
 
     @pytest.mark.parametrize("d", range(3, 10))
     def test_match_quadrature_special_functions(self, d):
-        # H = v + log Gamma(d/2) + log(mu/2), P = (mu/2) f_(d/2)(v) / (d/2)
+        # P = (mu/2) f_(d/2)(v) / (d/2)
         model = ModelSpec.full_fd(d, 1e-2)
         for w in (1e-6, 1e-3, 0.5, 20.0, 1e4):
             z = 0.5 * model.mu * w
             v = fermi_f_inverse(d / 2.0 - 1.0, w)
-            expected_h = v + math.lgamma(d / 2.0) + math.log(0.5 * model.mu)
             expected_p = 0.5 * model.mu * fermi_f(d / 2.0, v) / (d / 2.0)
-            assert H_value(model, z) == pytest.approx(expected_h, rel=1e-10, abs=1e-10)
             assert pressure(model, z, 1.0) == pytest.approx(expected_p, rel=1e-10)
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_integral_definitions(self, d):
-        # P(z) = int_0^z t / R dt and H(z) - H(a) = int_a^z dt / R
+        # P(z) = int_0^z t / R dt
         model = ModelSpec.full_fd(d, 1e-2)
-        a, z = 0.5 * model.mu * 1e-3, 0.5 * model.mu * 5.0
+        z = 0.5 * model.mu * 5.0
         p_quad, _ = quad(lambda t: t / R_value(model, t), 0.0, z, epsabs=0, epsrel=1e-11, limit=200)
-        h_quad, _ = quad(lambda t: 1.0 / R_value(model, t), a, z, epsabs=0, epsrel=1e-11, limit=200)
         assert pressure(model, z, 1.0) == pytest.approx(p_quad, rel=1e-9)
-        assert H_value(model, z) - H_value(model, a) == pytest.approx(h_quad, rel=1e-9)
 
     @pytest.mark.parametrize("d", range(3, 10))
     def test_derivative_identities(self, d):
-        # H' R = 1 and P' = z / R by centred differences, from the classical
-        # end of the proxy window to past its degenerate end
+        # P' = z / R by centred differences, from the classical end of the
+        # proxy window to past its degenerate end
         model = ModelSpec.full_fd(d, 1e-2)
         for w in (1e-9, 1e-4, 0.05, 1.0, 30.0, 1e3, 1e6):
             z = 0.5 * model.mu * w
             h = 1e-4 * z
             r = R_value(model, z)
-            dh = (H_value(model, z + h) - H_value(model, z - h)) / (2.0 * h)
             dp = (pressure(model, z + h, 1.0) - pressure(model, z - h, 1.0)) / (2.0 * h)
-            assert dh * r == pytest.approx(1.0, rel=1e-7)
             assert dp * r / z == pytest.approx(1.0, rel=1e-7)
 
     @pytest.mark.parametrize("d", range(3, 10))
     def test_classical_below_window(self, d):
-        # the ratio is exactly 1 there, so H = log z and P = z exactly
+        # the ratio is exactly 1 there, so P = z exactly
         model = ModelSpec.full_fd(d, 1e-2)
         for z in (5e-324, 1e-200, 1e-20):
-            assert H_value(model, z) == math.log(z)
             assert pressure(model, z, 1.0) == z
 
     def test_probe_has_no_failures(self):
-        # every call returns a finite value; R <= z makes H >= log z and P >= z
+        # every call returns a finite value; R <= z makes P >= z
         for d in (3, 5, 9):
             for eta in (1e-1, 1e-2, 1e-3, 1e-4):
                 model = ModelSpec.full_fd(d, eta)
                 for z in (1e-6, 1e-4, 1e-3, 1e-2, 0.5, 2.0, 20.0):
-                    h = H_value(model, z)
                     p = pressure(model, z, 1.0)
-                    assert math.isfinite(h) and h - math.log(z) >= -1e-12
                     assert math.isfinite(p) and p >= z * (1.0 - 1e-12)

@@ -27,14 +27,14 @@ from fermicloud.numerics import (
 # Planar decay: u = (e^{-t}, e^{-2t}) from (1, 1) at t = 0.
 DECAY = lambda t, u: [-u[0], -2.0 * u[1]]
 
-# A forward oscillator and an exponential decay integrated backward.
+# An oscillator and an exponential decay over an interval across t = 0.
 CLOSED_FORM_CASES = pytest.mark.parametrize(
     "field,t0,u0,t1",
     [
         (lambda t, u: [u[1], -u[0]], 0.0, [1.0, 0.0], 20.0),
-        (DECAY, 3.0, [1.0, 1.0], -2.0),
+        (DECAY, -2.0, [1.0, 1.0], 3.0),
     ],
-    ids=["oscillator", "backward-decay"],
+    ids=["oscillator", "decay"],
 )
 
 
@@ -152,6 +152,16 @@ class TestOdeIntegrate:
                 lambda t, u: [math.sin(50.0 * t) * u[0], u[0]], 0.0, [1.0, 0.0], 50.0, cfg
             )
 
+    def test_step_budget_counts_accepted_steps(self):
+        # a budget of exactly the accepted steps suffices; one fewer does not
+        path = ode_integrate(DECAY, 0.0, [1.0, 1.0], 5.0)
+        budget = lambda n: NumericsConfig(max_steps=n)
+        tight = ode_integrate(DECAY, 0.0, [1.0, 1.0], 5.0, budget(path.n_accepted))
+        assert tight.ts.tolist() == path.ts.tolist()
+        assert tight.states.tolist() == path.states.tolist()
+        with pytest.raises(StepLimitError):
+            ode_integrate(DECAY, 0.0, [1.0, 1.0], 5.0, budget(path.n_accepted - 1))
+
     def test_blow_up_detected(self):
         # u' = u^2 from u(0)=1 blows up at t=1
         with pytest.raises(BlowUpError) as exc:
@@ -171,8 +181,10 @@ class TestOdeIntegrate:
         assert exc.value.t == pytest.approx(1.0, abs=1e-9)
 
     def test_equal_endpoints_rejected(self):
-        with pytest.raises(DomainError):
-            ode_integrate(lambda t, u: [0.0, 0.0], 1.0, [1.0, 0.0], 1.0)
+        # the stepper integrates forward only: t1 must exceed t0
+        for t0, t1 in [(1.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(DomainError):
+                ode_integrate(lambda t, u: [0.0, 0.0], t0, [1.0, 0.0], t1)
 
     @pytest.mark.parametrize("u0", [[1.0], [1.0, 0.0, 0.0]], ids=["one", "three"])
     def test_non_planar_state_rejected(self, u0):
