@@ -222,8 +222,7 @@ def cmd_phase(run: RunConfig) -> int:
         f"rows: {len(traj.samples)}",
         "end state: s=%.6g x=%.9g y=%.9g" % (end.s, end.x, end.y),
     ]
-    lyap = model.eta == 0.0
-    _emit(run, lambda destination: traj.to_csv(destination, lyapunov_column=lyap), summary)
+    _emit(run, traj.to_csv, summary)
     return 0
 
 

@@ -86,6 +86,14 @@ _LOG_TINY = -745.0
 # interpolant noise both land near 1e-7 relative here.
 _DIFF_HALF_WIDTH = 3e-4
 
+# Lyapunov audit: uniform grid size, allowed increase of L per grid step, and
+# allowed relative error of its derivative against the decay rate.
+_LYAPUNOV_SAMPLES = 2001
+_LYAPUNOV_STEP_TOL = 1e-9
+_LYAPUNOV_IDENTITY_RTOL = 1e-3
+# Seed radius of the radial route's leading series.
+_RADIAL_R0 = 1e-6
+
 
 def _write_text(destination, text: str) -> None:
     """Write text to a path or to a writable text file object."""
@@ -222,15 +230,16 @@ class Trajectory:
         x, y = _leg_form(leg.t1, float(a), float(b), rescaled, False, math.exp)
         return State(leg.t1, x, y)
 
-    def to_csv(self, destination, lyapunov_column: bool = False) -> None:
+    def to_csv(self, destination) -> None:
         """Write the sampled trajectory as CSV (17 significant digits).
 
         Columns: s, x, y and their radial images r = e^s, Q = x e^{(d-2)s},
-        Qprime = y e^{(d-3)s}, plus the local density.  ``lyapunov_column``
-        appends the Lyapunov value of each row (meaningful for the classical
-        kind).  ``destination`` is a path or a writable text file object.
+        Qprime = y e^{(d-3)s}, plus the local density.  Classical statistics
+        (eta = 0) append the Lyapunov value of each row.  ``destination`` is
+        a path or a writable text file object.
         """
         d = self.model.d
+        lyapunov_column = self.model.eta == 0.0
         header = TRAJECTORY_CSV_HEADER + (",lyapunov" if lyapunov_column else "")
         lines = [header]
         for s, x, y, dens in self._rows():
@@ -335,9 +344,10 @@ def integrate_trajectory(
     definition serves both).  The hot response closure comes from
     :func:`models.response_fn`, so every statistics kind runs the same two
     fields.  The flux variable is kept in log form below s = 0, so
-    y > 0 holds by construction there; a zero crossing of x (physically
-    impossible) aborts with :class:`PositivityError`, as does one of x or y
-    on the s > 0 leg.  Finite-time escape raises :class:`BlowUpError`.
+    y > 0 holds by construction there; x going negative (physically
+    impossible) aborts with :class:`PositivityError`, as does x or y going
+    negative on the s > 0 leg, where y may underflow to exactly 0.0.
+    Finite-time escape raises :class:`BlowUpError`.
     """
     if not isinstance(model, ModelSpec):
         raise ConfigError(f"model must be a ModelSpec, got {model!r}")
@@ -362,20 +372,18 @@ def integrate_trajectory(
         split,
         cfg,
         abs_tol=np.array([cfg.ode_abs_tol * min(1.0, rho), cfg.ode_abs_tol]),
-        stop_events=(lambda s, u: u[0],),
+        nonnegative=(0,),
     )
     plain_leg = None
     if s_end > 0.0:
         xt_end, w_end = scaled_leg.end_state  # the scale factor at s = 0 is 1
-        # The y event tolerates exact underflow to 0.0 in the vacuum tail of
-        # compact degenerate profiles; only a real negative excursion fires.
         plain_leg = ode_integrate(
             _plain_field(model),
             0.0,
             (float(xt_end), math.exp(float(w_end))),
             float(s_end),
             cfg,
-            stop_events=(lambda s, u: u[0], lambda s, u: u[1] + 1e-300),
+            nonnegative=(0, 1),
         )
     return Trajectory(model, rho, scaled_leg, plain_leg)
 
@@ -421,32 +429,25 @@ class LyapunovReport:
         return self.decay_ok and self.identity_ok
 
 
-def lyapunov_decay_check(
-    traj: Trajectory,
-    n_samples: int = 2001,
-    step_tol: float = 1e-9,
-    identity_rtol: float = 1e-3,
-) -> LyapunovReport:
+def lyapunov_decay_check(traj: Trajectory) -> LyapunovReport:
     """Audit Lyapunov decay along a trajectory with classical statistics (eta = 0).
 
-    Samples L on a uniform grid of ``n_samples`` points, requires every
-    step increment <= ``step_tol``, and compares centered-difference
-    derivatives (half-width 3e-4 on the dense output) against the decay
-    rate (2-d)(x-2)^2 wherever |x-2| > 0.1.
+    Samples L on a uniform grid of 2001 points, requires every step
+    increment <= 1e-9, and requires centered-difference derivatives
+    (half-width 3e-4 on the dense output) to match the decay rate
+    (2-d)(x-2)^2 to 1e-3 relative wherever |x-2| > 0.1.
     """
     if not isinstance(traj, Trajectory):
         raise ConfigError(f"need a Trajectory, got {traj!r}")
     if traj.model.eta != 0.0:
         raise ConfigError("Lyapunov decay is a property of classical statistics (eta = 0) only")
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 3):
-        raise ConfigError(f"need at least 3 samples, got {n_samples!r}")
     d = traj.model.d
-    grid = np.linspace(traj.s_start, traj.s_end, int(n_samples))
+    grid = np.linspace(traj.s_start, traj.s_end, _LYAPUNOV_SAMPLES)
     x, y = traj.sample(grid)
     lyap = _lyapunov_array(d, x, y)
     steps = np.diff(lyap)
     max_increase = float(steps.max())
-    offending = grid[1:][steps > step_tol]
+    offending = grid[1:][steps > _LYAPUNOV_STEP_TOL]
     decay_ok = offending.size == 0
 
     h = _DIFF_HALF_WIDTH
@@ -466,7 +467,7 @@ def lyapunov_decay_check(
         max_step_increase=max_increase,
         decay_ok=decay_ok,
         identity_max_rel_err=identity_err,
-        identity_ok=identity_err <= identity_rtol,
+        identity_ok=identity_err <= _LYAPUNOV_IDENTITY_RTOL,
         offending_s=tuple(float(v) for v in offending),
     )
 
@@ -511,18 +512,19 @@ def density_profile(traj: Trajectory) -> list[tuple[float, float]]:
 def radial_Q_integrate(
     model: ModelSpec,
     rho: float,
-    r0: float = 1e-6,
     cfg: NumericsConfig = DEFAULT_CONFIG,
     full_output: bool = False,
 ):
     """Endpoint (Q(1), Q'(1)) of the second-order radial equation.
 
     Starts from the leading series Q(r0) = (rho/d) r0^d,
-    Q'(r0) = rho r0^{d-1} and integrates Q'' = (d-1)Q'/r - Q R(r^{1-d} Q')
-    up to r = 1, entirely in the radial variable: no part of the (s, x, y)
-    pathway is reused, so agreement of Q(1) with x(0) cross-checks both.
-    Absolute tolerances are scaled per component to the series data, which
-    keeps the error control effectively relative while the components grow.
+    Q'(r0) = rho r0^{d-1} at r0 = 1e-6 and integrates
+    Q'' = (d-1)Q'/r - Q R(r^{1-d} Q') up to r = 1, entirely in the radial
+    variable: no part of the (s, x, y) pathway is reused, so agreement of
+    Q(1) with x(0) cross-checks both.  Absolute tolerances are scaled per
+    component to the series data, which keeps the error control effectively
+    relative while the components grow.  Q or Q' going negative raises
+    :class:`PositivityError`; Q' may underflow to exactly 0.0.
 
     With ``full_output=True`` the dense radial path is returned as a third
     element.
@@ -531,15 +533,13 @@ def radial_Q_integrate(
         raise ConfigError(f"model must be a ModelSpec, got {model!r}")
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0.0):
         raise ConfigError(f"central density must be finite and positive, got {rho!r}")
-    if not (isinstance(r0, (int, float)) and 0.0 < r0 <= 1e-4):
-        raise ConfigError(f"r0 must lie in (0, 1e-4], got {r0!r}")
     d = model.d
     rho = float(rho)
-    r0 = float(r0)
+    r0 = _RADIAL_R0
     q0 = (rho / d) * r0**d
     qp0 = rho * r0 ** (d - 1)
     if q0 == 0.0 or qp0 == 0.0:
-        raise ConfigError(f"series data underflows at r0={r0!r} for d={d}")
+        raise ConfigError(f"series data underflows at rho={rho!r} for d={d}")
     resp = response_fn(model)
     pw = d - 1
 
@@ -550,8 +550,6 @@ def radial_Q_integrate(
             dens = 0.0
         return qp, pw / r * qp - q * resp(dens)
 
-    # The Qprime event tolerates exact underflow to 0.0 (vacuum tail of a
-    # compact profile); only a real negative excursion fires.
     path = ode_integrate(
         rhs,
         r0,
@@ -559,7 +557,7 @@ def radial_Q_integrate(
         1.0,
         cfg,
         abs_tol=np.array([q0, qp0]) * cfg.ode_abs_tol,
-        stop_events=(lambda r, u: u[0], lambda r, u: u[1] + 1e-300),
+        nonnegative=(0, 1),
     )
     q1, qp1 = path.end_state
     if full_output:
@@ -567,10 +565,8 @@ def radial_Q_integrate(
     return float(q1), float(qp1)
 
 
-def comparison_grid(s_start: float, n: int = COMPARISON_GRID_SIZE) -> np.ndarray:
-    """Shared uniform grid on [s_start, 0] for cross-trajectory sups."""
+def comparison_grid(s_start: float) -> np.ndarray:
+    """Shared uniform grid of ``COMPARISON_GRID_SIZE`` points on [s_start, 0]."""
     if not (isinstance(s_start, (int, float)) and math.isfinite(s_start) and s_start < 0.0):
         raise ConfigError(f"need s_start < 0, got {s_start!r}")
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ConfigError(f"need at least 2 grid points, got {n!r}")
-    return np.linspace(float(s_start), 0.0, int(n))
+    return np.linspace(float(s_start), 0.0, COMPARISON_GRID_SIZE)

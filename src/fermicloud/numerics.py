@@ -288,6 +288,9 @@ _ROOT_2 = 2**0.5  # the RMS norm of a planar error
 
 # State magnitude at which the solution counts as escaped.
 _HUGE_STATE = 1e300
+# A component kept nonnegative has gone negative once it falls below this;
+# an exact underflow to 0.0 has not.
+_NEGATIVE_FLOOR = -1e-300
 
 
 class OdePath:
@@ -394,24 +397,25 @@ def _initial_step(field, t0, y0, f0, t1, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _raise_at_crossing(stop_events, active, t_old, t_new, y_old, y_new, step) -> None:
-    """Raise for the earliest sign change on one step's interpolant.
+def _raise_at_crossing(floors, t_old, t_new, y_old, y_new, step) -> None:
+    """Raise for the earliest crossing on one step's interpolant.
 
-    Index 0 in ``active`` is the blow-up event; index ``i > 0`` is
-    ``stop_events[i - 1]``.
+    Component i crosses where it falls to ``floors[i]``; the state crosses
+    the blow-up bound (index -1, first on a tie) where its larger magnitude
+    reaches it.
     """
     seg = OdePath([t_old, t_new], [y_old, y_new], [step])
-    events = [lambda s, u: _HUGE_STATE - max(abs(u[0]), abs(u[1])), *stop_events]
-    roots = []
-    for i in active:
-        g = lambda s, ev=events[i]: ev(s, list(seg(s)))
-        root = brentq(g, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
-        roots.append((root, i))
-    root, first = min(roots)
+    g = lambda s, i: seg(s)[i] - floors[i] if i >= 0 else _HUGE_STATE - max(map(abs, seg(s)))
+    crossed = [i for i in (0, 1) if y_new[i] < floors[i]]
+    if max(map(abs, y_new)) >= _HUGE_STATE:
+        crossed.insert(0, -1)
+    root, first = min(
+        (brentq(g, t_old, t_new, args=(i,), xtol=4 * _EPS, rtol=4 * _EPS), i) for i in crossed
+    )
     state = np.array(seg(root))
-    if first == 0:
+    if first < 0:
         raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, state)
-    raise PositivityError("terminal event fired during integration", root, state)
+    raise PositivityError(f"component {first} went negative", root, state)
 
 
 def ode_integrate(
@@ -421,7 +425,7 @@ def ode_integrate(
     t1: float,
     cfg: NumericsConfig = DEFAULT_CONFIG,
     abs_tol: float | Sequence[float] | None = None,
-    stop_events: Sequence[Callable[[float, list[float]], float]] = (),
+    nonnegative: Sequence[int] = (),
 ) -> OdePath:
     """Integrate the planar ``u' = field(t, u)`` forward from ``t0`` to ``t1``.
 
@@ -433,18 +437,21 @@ def ode_integrate(
     [0.2, 10], no growth right after a rejection, and its minimum step.
     Every stage is written out per component in scipy's order of operations,
     so it takes ``RK45``'s steps.  ``abs_tol`` overrides the configured
-    absolute tolerance (may be per-component).  ``stop_events`` are terminal
-    sign-crossing events, called like ``field``; if one fires a
-    :class:`PositivityError` is raised with the crossing located on the
-    step's interpolant.
+    absolute tolerance (may be per-component).  ``nonnegative`` lists the
+    component indices that must not go negative: one that falls below
+    -1e-300 raises :class:`PositivityError`, with the crossing of that
+    floor located on the step's interpolant.  An exact underflow to 0.0 is
+    not a crossing.
 
     The returned :class:`OdePath` carries the counters ``nfev`` (field
     evaluations), ``n_accepted`` and ``n_rejected`` (step attempts).
 
     Raises
     ------
-    DomainError : unless ``t0 < t1``, both finite, or for a state that is
-        not two finite components.
+    DomainError : unless ``t0 < t1``, both finite, for a state that is not
+        two components of magnitude at most 1e300, or when a ``nonnegative``
+        component starts below the floor.
+    ConfigError : for a ``nonnegative`` index other than 0 or 1.
     StepLimitError : when reaching ``t1`` would take more than ``max_steps``
         accepted steps.
     BlowUpError : when a state component exceeds 1e300 in magnitude, or the
@@ -453,9 +460,14 @@ def ode_integrate(
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise DomainError(f"need finite endpoints t0 < t1, got {t0!r}, {t1!r}")
     y = [float(v) for v in u0]
-    if len(y) != 2 or not all(math.isfinite(v) for v in y):
-        raise DomainError(f"initial state must be two finite components, got {u0!r}")
+    if len(y) != 2 or not all(abs(v) <= _HUGE_STATE for v in y):
+        raise DomainError(f"initial state must be two components within 1e300, got {u0!r}")
     y0, y1 = y
+    if not set(nonnegative) <= {0, 1}:
+        raise ConfigError(f"nonnegative indices must be 0 or 1, got {nonnegative!r}")
+    floor0, floor1 = floors = [_NEGATIVE_FLOOR if i in nonnegative else -math.inf for i in (0, 1)]
+    if y0 < floor0 or y1 < floor1:
+        raise DomainError(f"a nonnegative component starts negative: {u0!r}")
     t0, t1 = float(t0), float(t1)
     rtol = max(cfg.ode_rel_tol, 100 * _EPS)
     tol = cfg.ode_abs_tol if abs_tol is None else abs_tol
@@ -473,8 +485,6 @@ def ode_integrate(
     h_abs = _initial_step(field, t0, y, f, t1, rtol, atol)
     nfev = 2
     n_rejected = 0
-    g_huge = _HUGE_STATE - max(abs(y0), abs(y1))
-    g = [ev(t0, y) for ev in stop_events]
     t = t0
     ts = [t]
     states = [y]
@@ -544,17 +554,8 @@ def ode_integrate(
             n_rejected += 1
 
         step = (k1, k2, k3, k4, k5, k6, k7)
-        huge = _HUGE_STATE - max(abs(n0), abs(n1))
-        g_new = [ev(t_new, y_new) for ev in stop_events]
-        # The blow-up event (index 0) counts downward crossings only; stop
-        # events any.
-        active = [0] if g_huge >= 0.0 >= huge else []
-        active += [
-            i for i, (a, b) in enumerate(zip(g, g_new), 1) if a >= 0.0 >= b or a <= 0.0 <= b
-        ]
-        if active:
-            _raise_at_crossing(stop_events, active, t, t_new, y, y_new, step)
-        g_huge, g = huge, g_new
+        if n0 < floor0 or n1 < floor1 or max(abs(n0), abs(n1)) >= _HUGE_STATE:
+            _raise_at_crossing(floors, t, t_new, y, y_new, step)
         t, y, f = t_new, y_new, k7
         y0, y1 = n0, n1
         ts.append(t)

@@ -71,7 +71,7 @@ def test_fixed_points_and_lyapunov_decay():
     for d in (3, 5, 7, 9):
         for rho in (1.0, 100.0):
             traj = integrate_trajectory(ModelSpec.maxwell_boltzmann(d), rho, s_end=10.0)
-            rep = lyapunov_decay_check(traj, step_tol=1e-9, identity_rtol=1e-3)
+            rep = lyapunov_decay_check(traj)
             assert rep.passed, (d, rho, rep)
             worst_step = max(worst_step, rep.max_step_increase)
             worst_identity = max(worst_identity, rep.identity_max_rel_err)

@@ -85,6 +85,20 @@ class TestMassOfDensity:
         with pytest.raises(ConfigError):
             mass_of_density(MB3, -1.0)
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    @pytest.mark.parametrize("kind", ["sfd", "ffd"])
+    def test_domain_sweep_returns_a_mass(self, kind, d):
+        # every eta x rho cell of the quantum domain shoots to s = 0; this
+        # guards the rule that keeps x nonnegative on the scaled leg
+        bad = []
+        for eta in (1.0, 1e-1, 1e-2, 1e-3):
+            model = ModelSpec(kind, d, eta)
+            for rho in np.logspace(-2.0, 8.0, 21).tolist():
+                mass = mass_of_density(model, rho)
+                if not (math.isfinite(mass) and mass > 0.0):
+                    bad.append((eta, rho, mass))
+        assert bad == []
+
 
 class TestMassCurve:
     def test_grid_size_and_policy(self, small_curve):
