@@ -268,9 +268,10 @@ def mass_curve(
     """Scan the shooting map on a log-spaced density grid.
 
     At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`),
-    kept as the curve's ``orbit``; each of its two legs (s <= 0 and s > 0) spends
-    one ``cfg.max_steps`` budget, and a numeric error fails all points at once.
-    Otherwise each point is shot, and fails, on its own.  Failures go to
+    kept as the curve's ``orbit``; its single leg spends one ``cfg.max_steps``
+    budget over the whole grid, and a numeric error fails all points at once.
+    Otherwise each point is shot, and fails, on its own, with one budget per
+    shoot.  Failures go to
     ``failures`` instead of aborting the scan.
     """
     if not (math.isfinite(rho_min) and math.isfinite(rho_max) and 0.0 < rho_min < rho_max):
@@ -344,12 +345,13 @@ def count_solutions(
     log_rhos = np.log(rhos)
     known = dict(zip(log_rhos.tolist(), gaps.tolist()))  # bracket ends: already shot
     model, orbit = curve.model, curve.orbit
+    sigma = sigma_d(model.d)
 
     def gap(u: float) -> float:
         if u in known:
             return known[u]
         if orbit is not None:
-            return sigma_d(model.d) * orbit.at(0.5 * u).x - M_target
+            return sigma * orbit._x_at(0.5 * u) - M_target
         return mass_of_density(model, math.exp(u), cfg, curve.s_start) - M_target
 
     roots: list[float] = []

@@ -12,19 +12,18 @@ x ~ (rho/d) e^{2s}, y ~ rho e^{2s} at s -> -infinity, with rho the central
 density of the profile; the integrated mass inside radius 1 is read off at
 s = 0 through the substitution Q(e^s) = x(s) e^{(d-2)s}.
 
-Integration detail: for s <= 0 the solver advances the density-rescaled
-pair (x e^{-2s}, log(y e^{-2s})) instead of (x, y).  The first component
-stays O(rho) all the way down to the asymptotic end, so relative error
-control applies uniformly and differences between trajectories keep
-meaning there; (x, y) themselves decay like e^{2s} and would sink below
-any fixed absolute tolerance.  The second component is the log-density:
-degenerate profiles with high central density develop a sharp edge outside
-of which the density falls off exponentially at rate x >> 1, and the log
-form turns that near-vacuum atmosphere into a mildly varying state (and
-keeps y > 0 by construction, where a linear formulation jitters across
-zero once the density sinks below the error-control floor).  For s > 0 the
-plain variables are integrated.  A trajectory therefore carries one or two
-solver legs and converts on evaluation.
+Integration detail: one solver leg advances the normalized logs
+a = log(d x e^{-2s}/rho) and b = log(y e^{-2s}/rho), with the field
+
+    a' = d expm1(b - a),        b' = -(rho/d) e^{a + 2s + g},
+
+g = log(R(z)/z) read at log z = b + log rho (g = 0 for classical
+statistics).  The launch is exactly (0, 0) and the state stays O(1) over
+the central plateau, where floats are finest, so differences between
+nearby trajectories keep meaning down to the asymptotic end.  The absolute
+error of a log is the relative error of x or y, so one absolute tolerance
+serves both, out to the exponentially thin atmosphere of a degenerate
+profile; x and y are positive by construction.
 
 ``radial_Q_integrate`` solves the equivalent second-order radial equation
 
@@ -35,6 +34,7 @@ directly in r, as an independent cross-check of the shooting pathway.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .fermi import _check_dimension
-from .models import ModelSpec, response_fn
+from .models import ModelSpec, _statistics, response_fn
 from .numerics import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -79,8 +79,13 @@ COMPARISON_GRID_SIZE = 2000
 # exp() overflows just above this (log of the largest double is ~709.78).
 _LOG_HUGE = 709.0
 
-# exp() underflows to zero below this.
-_LOG_TINY = -745.0
+# Exponent cap of the shooting field: its slopes stay below 1e262, so a trial
+# stage far outside the physical range stays finite and is rejected.
+_EXP_CAP = 600.0
+
+# Relative term of the error control on the normalized logs; their absolute
+# tolerance is ``ode_rel_tol``.
+_LOG_REL_TOL = 1e-13
 
 # Half-width for centered differences on dense output: h^2 truncation and
 # interpolant noise both land near 1e-7 relative here.
@@ -104,23 +109,6 @@ def _write_text(destination, text: str) -> None:
             fh.write(text)
 
 
-def _leg_form(s, first, second, rescaled_leg: bool, scaled: bool, exp):
-    """Convert one leg's stored pair at log-radius s (scalars or arrays).
-
-    The rescaled leg stores (x e^{-2s}, log(y e^{-2s})), the plain leg (x, y).
-    Returns (x, y), or with ``scaled`` (x e^{-2s}, y e^{-2s}); ``exp`` is
-    ``math.exp`` for scalars and ``np.exp`` for arrays.
-    """
-    if rescaled_leg:
-        if scaled:
-            return first, exp(second)
-        return first * exp(2.0 * s), exp(second + 2.0 * s)
-    if not scaled:
-        return first, second
-    sc = exp(-2.0 * s)
-    return first * sc, second * sc
-
-
 @dataclass(frozen=True)
 class State:
     """One phase point: log-radius s, integrated-mass variable x, flux variable y."""
@@ -133,54 +121,34 @@ class State:
 class Trajectory:
     """Dense solution of one shooting integration.
 
-    Immutable after construction.  Stores the rescaled leg on s <= 0 (in
-    (x e^{-2s}, log(y e^{-2s})) form) and, when the range extends past 0, a
-    plain (x, y) leg; evaluation converts as needed, so values at very
-    negative s keep full relative accuracy.
+    Immutable after construction.  Stores the solver's one leg in the
+    normalized logs (a, b) of :func:`integrate_trajectory` and converts on
+    evaluation: x = (rho/d) e^{a+2s}, y = rho e^{b+2s} and the density
+    y e^{-2s} = rho e^b, so values at very negative s keep full relative
+    accuracy.
     """
 
-    def __init__(self, model: ModelSpec, rho: float, scaled_leg, plain_leg=None):
+    def __init__(self, model: ModelSpec, rho: float, path):
         self.model = model
         self.rho = float(rho)
-        self._scaled = scaled_leg
-        self._plain = plain_leg
-        self.s_start = scaled_leg.t0
-        self.s_end = plain_leg.t1 if plain_leg is not None else scaled_leg.t1
-        self._split = scaled_leg.t1
-        # (dense output, stores the rescaled pair) of each leg, in increasing s
-        self._legs = [(scaled_leg, True)]
-        if plain_leg is not None:
-            self._legs.append((plain_leg, False))
+        self._path = path
+        self._x_scale = self.rho / model.d
+        self.s_start = path.t0
+        self.s_end = path.t1
 
     def __repr__(self) -> str:
-        n = len(self._scaled.ts)
-        if self._plain is not None:
-            n += len(self._plain.ts) - 1
         return (
             f"Trajectory({self.model.kind.value}, d={self.model.d}, "
-            f"rho={self.rho!r}, s in [{self.s_start!r}, {self.s_end!r}], {n} samples)"
+            f"rho={self.rho!r}, s in [{self.s_start!r}, {self.s_end!r}], "
+            f"{len(self._path.ts)} samples)"
         )
-
-    def _check_range(self, lo: float, hi: float) -> None:
-        slack = 1e-9 * max(1.0, self.s_end - self.s_start)
-        if lo < self.s_start - slack or hi > self.s_end + slack:
-            raise DomainError(
-                f"sample location outside trajectory range "
-                f"[{self.s_start!r}, {self.s_end!r}]"
-            )
 
     def _sample(self, s_values, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
         s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
-        if s_arr.size:
-            self._check_range(float(s_arr.min()), float(s_arr.max()))
-        first = np.empty_like(s_arr)
-        second = np.empty_like(s_arr)
-        low = s_arr <= self._split if self._plain is not None else np.full(s_arr.shape, True)
-        for on_leg, (leg, rescaled) in zip((low, ~low), self._legs):
-            if on_leg.any():
-                s = s_arr[on_leg]
-                first[on_leg], second[on_leg] = _leg_form(s, *leg(s), rescaled, scaled, np.exp)
-        return first, second
+        a, b = self._path(s_arr)  # DomainError outside [s_start, s_end]
+        if not scaled:
+            a, b = a + 2.0 * s_arr, b + 2.0 * s_arr
+        return self._x_scale * np.exp(a), self.rho * np.exp(b)
 
     def sample(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (x, y) at the given log-radii (array-like, any order)."""
@@ -198,25 +166,26 @@ class Trajectory:
         """State at one log-radius, read with float arithmetic.
 
         Equal bit for bit to :meth:`sample` at the same point: it reads the
-        same leg and converts with the same ``np.exp``.
+        same dense output and converts with the same ``np.exp``.
         """
         s = float(s)
-        self._check_range(s, s)
-        plain = self._plain is not None and s > self._split
-        leg, rescaled = self._legs[plain]
-        x, y = _leg_form(s, *leg(s), rescaled, False, np.exp)
-        return State(s, float(x), float(y))
+        a, b = self._path(s)
+        x = self._x_scale * float(np.exp(a + 2.0 * s))
+        return State(s, x, self.rho * float(np.exp(b + 2.0 * s)))
+
+    def _x_at(self, s: float) -> float:
+        """``at(s).x`` without the y read and the State, for root refinement."""
+        return self._x_scale * float(np.exp(self._path(s)[0] + 2.0 * s))
+
+    def _row(self, s: float, a: float, b: float) -> tuple[float, float, float, float]:
+        """(s, x, y, density) of one stored state, with ``math.exp``."""
+        x, y = self._x_scale * math.exp(a + 2.0 * s), self.rho * math.exp(b + 2.0 * s)
+        return s, x, y, self.rho * math.exp(b)
 
     def _rows(self) -> list[tuple[float, float, float, float]]:
         """(s, x, y, density) at the solver nodes, in increasing s."""
-        out = []
-        for k, (leg, rescaled) in enumerate(self._legs):
-            # The plain leg starts at s = 0, the rescaled leg's last node.
-            for t, (a, b) in zip(leg.ts[k:], leg.states[k:]):
-                t, a, b = float(t), float(a), float(b)
-                x, y = _leg_form(t, a, b, rescaled, False, math.exp)
-                out.append((t, x, y, _leg_form(t, a, b, rescaled, True, math.exp)[1]))
-        return out
+        path = self._path
+        return [self._row(t, a, b) for t, (a, b) in zip(path.ts.tolist(), path.states.tolist())]
 
     @cached_property
     def samples(self) -> tuple[State, ...]:
@@ -225,10 +194,8 @@ class Trajectory:
 
     @property
     def end_state(self) -> State:
-        leg, rescaled = self._legs[-1]
-        a, b = leg.end_state
-        x, y = _leg_form(leg.t1, float(a), float(b), rescaled, False, math.exp)
-        return State(leg.t1, x, y)
+        a, b = self._path.end_state.tolist()
+        return State(*self._row(self.s_end, a, b)[:3])
 
     def to_csv(self, destination) -> None:
         """Write the sampled trajectory as CSV (17 significant digits).
@@ -251,42 +218,16 @@ class Trajectory:
         _write_text(destination, "\n".join(lines) + "\n")
 
 
-def _plain_field(model: ModelSpec):
-    """The field of :func:`rhs_nonautonomous` as a closure (s, (x, y)) -> (x', y').
-
-    Classical statistics (eta = 0, which covers the classical kind) take the
-    autonomous form; a trial value y <= 0 leaves only the source term 2y.
-    """
-    d = model.d
-    classical = model.eta == 0.0
-    resp = response_fn(model)
-
-    def field(s, u):
-        x, y = u
-        dx = (2.0 - d) * x + y
-        if classical:
-            return dx, (2.0 - x) * y
-        if not y > 0.0:
-            return dx, 2.0 * y
-        if abs(2.0 * s) < _LOG_HUGE:
-            z = y * math.exp(-2.0 * s)
-        else:
-            z = math.exp(math.log(y) - 2.0 * s)
-        ratio = resp(z) / z if z > 0.0 else 1.0
-        return dx, 2.0 * y - x * y * ratio
-
-    return field
-
-
 def rhs_nonautonomous(model: ModelSpec, s: float, x: float, y: float) -> tuple[float, float]:
     """Vector field of the driven system at one phase point.
 
-    Returns ``((2-d)x + y, 2y - x e^{2s} R(e^{-2s} y))``, the field that
-    :func:`integrate_trajectory` advances past s = 0.  The sink term is
-    evaluated as ``x y (R(z)/z)`` with z = e^{-2s} y: the ratio lies in
-    (0, 1], tends to 1 in the classical limit z -> 0, and stays finite for
-    every s where z is representable.  The classical kind reduces to the
-    autonomous field exactly.
+    Returns ``((2-d)x + y, 2y - x e^{2s} R(e^{-2s} y))``, the field in the
+    plain variables; :func:`integrate_trajectory` advances the same system
+    in normalized logs.  The sink term is evaluated as ``x y (R(z)/z)``
+    with z = e^{-2s} y: the ratio lies in (0, 1], tends to 1 in the
+    classical limit z -> 0, and stays finite for every s where z is
+    representable.  The classical kind reduces to the autonomous field
+    exactly.
 
     Raises
     ------
@@ -297,14 +238,25 @@ def rhs_nonautonomous(model: ModelSpec, s: float, x: float, y: float) -> tuple[f
         raise DomainError(f"need finite s and x, got s={s!r}, x={x!r}")
     if not (math.isfinite(y) and y >= 0.0):
         raise DomainError(f"need finite y >= 0, got {y!r}")
-    if model.eta != 0.0 and y > 0.0 and math.log(y) - 2.0 * s > _LOG_HUGE:
+    if model.eta == 0.0:
+        return rhs_autonomous(model.d, x, y)
+    dx = (2.0 - model.d) * x + y
+    if y == 0.0:
+        return dx, 0.0
+    if math.log(y) - 2.0 * s > _LOG_HUGE:
         raise DomainError(f"response argument e^(-2 s) y overflows at s={s!r}")
-    return _plain_field(model)(s, (x, y))
+    if abs(2.0 * s) < _LOG_HUGE:
+        z = y * math.exp(-2.0 * s)
+    else:
+        z = math.exp(math.log(y) - 2.0 * s)
+    ratio = response_fn(model)(z) / z if z > 0.0 else 1.0
+    return dx, 2.0 * y - x * y * ratio
 
 
 def rhs_autonomous(d: int, x: float, y: float) -> tuple[float, float]:
     """Vector field of the classical system: ``((2-d)x + y, (2-x)y)``."""
-    return _plain_field(ModelSpec.maxwell_boltzmann(d))(0.0, (x, y))
+    d = _check_dimension(d)
+    return (2.0 - d) * x + y, (2.0 - x) * y
 
 
 def initial_state(d: int, rho: float, s_start: float) -> State:
@@ -328,6 +280,39 @@ def initial_state(d: int, rho: float, s_start: float) -> State:
     return State(float(s_start), y / d, y)
 
 
+def _shooting_field(model: ModelSpec, rho: float):
+    """The field of the normalized logs as a closure (s, (a, b)) -> (a', b').
+
+    ``a' = d expm1(b - a)`` and ``b' = -exp(a + 2s + log(rho/d) + g)``, with
+    g = log(R(z)/z) at log z = b + log rho left out at eta = 0.  Both
+    exponents are clamped at ``_EXP_CAP``, so a trial stage far outside the
+    physical range gives a large finite slope that the step control
+    rejects, never an ``OverflowError``.
+    """
+    d = model.d
+    k = math.log(rho / d)
+    exp, expm1, cap = math.exp, math.expm1, _EXP_CAP
+    stats = _statistics(model)
+    if stats.log_ratio is None:
+
+        def field(s, u):
+            a, b = u
+            q = b - a
+            e = a + 2.0 * s + k
+            return d * expm1(q if q < cap else cap), -exp(e if e < cap else cap)
+
+        return field
+    g, c = stats.log_ratio, stats.log_shift + math.log(rho)
+
+    def field(s, u):
+        a, b = u
+        q = b - a
+        e = a + 2.0 * s + k + g(b + c)
+        return d * expm1(q if q < cap else cap), -exp(e if e < cap else cap)
+
+    return field
+
+
 def integrate_trajectory(
     model: ModelSpec,
     rho: float,
@@ -337,55 +322,31 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate one shooting trajectory from asymptotic data.
 
-    On [s_start, min(s_end, 0)] the rescaled pair
-    (x e^{-2s}, log(y e^{-2s})) is advanced, with the absolute tolerance of
-    the first component scaled by min(1, rho); any remainder integrates
-    (x, y) directly, with the field of :func:`rhs_nonautonomous` (one
-    definition serves both).  The hot response closure comes from
-    :func:`models.response_fn`, so every statistics kind runs the same two
-    fields.  The flux variable is kept in log form below s = 0, so
-    y > 0 holds by construction there; x going negative (physically
-    impossible) aborts with :class:`PositivityError`, as does x or y going
-    negative on the s > 0 leg, where y may underflow to exactly 0.0.
-    Finite-time escape raises :class:`BlowUpError`.
+    One solver leg on [s_start, s_end] advances the normalized logs
+    a = log(d x e^{-2s}/rho) and b = log(y e^{-2s}/rho) from exactly (0, 0),
+    the leading-order asymptotic data (see the module docstring).  Both logs
+    carry the absolute tolerance ``cfg.ode_rel_tol``, which bounds the
+    local relative error of x and y, plus a relative term of 1e-13;
+    ``cfg.max_steps`` caps the leg's accepted steps.  The per-kind
+    g = log(R/z) comes from the statistics object of ``models``, so every
+    kind runs the same field.  x and y are positive by construction;
+    finite-time escape raises :class:`BlowUpError`.
     """
     if not isinstance(model, ModelSpec):
         raise ConfigError(f"model must be a ModelSpec, got {model!r}")
     initial_state(model.d, rho, s_start)  # validates rho and the asymptotic entry
     if not (isinstance(s_end, (int, float)) and math.isfinite(s_end) and s_end > s_start):
         raise ConfigError(f"need s_start < s_end, got {s_start!r} >= {s_end!r}")
-    d = model.d
-    resp = response_fn(model)
     rho = float(rho)
-    split = min(float(s_end), 0.0)
-
-    def scaled_rhs(s, u):
-        xt, w = u
-        yt = math.exp(w) if w > _LOG_TINY else 0.0
-        ratio = resp(yt) / yt if yt > 0.0 else 1.0
-        return yt - d * xt, -xt * math.exp(2.0 * s) * ratio
-
-    scaled_leg = ode_integrate(
-        scaled_rhs,
+    path = ode_integrate(
+        _shooting_field(model, rho),
         float(s_start),
-        (rho / d, math.log(rho)),
-        split,
-        cfg,
-        abs_tol=np.array([cfg.ode_abs_tol * min(1.0, rho), cfg.ode_abs_tol]),
-        nonnegative=(0,),
+        (0.0, 0.0),
+        float(s_end),
+        dataclasses.replace(cfg, ode_rel_tol=_LOG_REL_TOL),
+        abs_tol=cfg.ode_rel_tol,
     )
-    plain_leg = None
-    if s_end > 0.0:
-        xt_end, w_end = scaled_leg.end_state  # the scale factor at s = 0 is 1
-        plain_leg = ode_integrate(
-            _plain_field(model),
-            0.0,
-            (float(xt_end), math.exp(float(w_end))),
-            float(s_end),
-            cfg,
-            nonnegative=(0, 1),
-        )
-    return Trajectory(model, rho, scaled_leg, plain_leg)
+    return Trajectory(model, rho, path)
 
 
 def lyapunov(d: int, x: float, y: float) -> float:
@@ -502,9 +463,9 @@ def from_radial(r: float, q: float, qprime: float, d: int) -> State:
 def density_profile(traj: Trajectory) -> list[tuple[float, float]]:
     """Pairs (r, density) at the trajectory's sample nodes.
 
-    The density is y(s) e^{-2s}, read off the rescaled leg where available,
-    so the central plateau (r -> 0, density -> rho) keeps full relative
-    accuracy.
+    The density is y(s) e^{-2s} = rho e^b, read off the solver's normalized
+    log b, so the central plateau (r -> 0, density -> rho) keeps full
+    relative accuracy.
     """
     return [(math.exp(s), dens) for s, _x, _y, dens in traj._rows()]
 

@@ -316,7 +316,7 @@ class FermiEvaluator:
         self._lo = CLASSICAL_CUTOFF - 0.5
         self._hi = DEGENERATE_CUTOFF + 0.5
         edges = np.linspace(self._lo, self._hi, self._N_PANELS + 1)
-        self._edges = edges
+        self._edges = edges.tolist()
 
         def sampled(vs: np.ndarray) -> np.ndarray:
             return np.array(
@@ -382,10 +382,10 @@ class ResponseRatioProxy:
     The full response is ``R(z) = z * ratio(2 z / mu)``, so every eta of one
     dimension shares this object.  ``window`` is the inner evaluator's range
     ``(logf_lo, logf_hi)`` of ``t = log w`` for the order ``d/2 - 1``.  From
-    its bottom to at least ``_ABOVE`` past its top the ratio is
-    ``exp(g(t))``, with ``g`` a piecewise Chebyshev interpolant of degree
-    ``_DEGREE`` on uniform panels at most ``_PANEL_WIDTH`` wide; the window
-    top is a panel edge.  Each panel interpolates
+    its bottom to at least ``_ABOVE`` past its top, :meth:`log_ratio` is a
+    piecewise Chebyshev interpolant of degree ``_DEGREE`` on uniform panels
+    at most ``_PANEL_WIDTH`` wide; the window top is a panel edge.  Each
+    panel interpolates
     ``g(t) = log((d-2)/2) + log f_(d/2-2)(f_(d/2-1)^(-1)(e^t)) - t``, composed
     from the two cached order evaluators, at its interior Chebyshev points:
     the composition switches branch exactly at the window edges, so it is
@@ -393,10 +393,11 @@ class ResponseRatioProxy:
     expansion, so the panels there interpolate that closed form.  Below the
     window both orders sit on their classical branch and the ratio is 1 (this
     covers ``w == 0.0`` as well); past the last panel the ratio is the
-    degenerate closed form, through the inner evaluator's Brent inverse.
+    degenerate closed form, through the inner evaluator's Brent inverse, and
+    beyond the range of ``exp`` its leading order.
 
-    One evaluation on the panels costs one ``log``, one panel index, one
-    Clenshaw sum and one ``exp``; no root search runs per call.
+    A panel read is one index and one Clenshaw sum in Python floats, with
+    no root search; :meth:`ratio` adds one ``log`` and one ``exp``.
     Agreement with the composition and with :func:`zeta_map` is checked in
     the tests.
     """
@@ -405,6 +406,9 @@ class ResponseRatioProxy:
     _PANEL_WIDTH = 1.0
     _DEGREE = 14
     _ABOVE = 24.0
+    # log_ratio reads the leading degenerate order from here on: exp(t)
+    # overflows just above 709, and the next order is e^(-4t/d) relative.
+    _T_LEADING = 700.0
 
     def __init__(self, d: int):
         self.d = _check_dimension(d)
@@ -413,18 +417,19 @@ class ResponseRatioProxy:
         self._inner = inner
         self._outer_alpha = outer.alpha
         self._front = 0.5 * (self.d - 2)
-        t_lo, t_hi = inner._logf_lo, inner._logf_hi
+        t_lo, t_hi = float(inner._logf_lo), float(inner._logf_hi)
         self.window = (t_lo, t_hi)
         self._t_lo = t_lo
         self._w_lo = math.exp(t_lo)
         n = math.ceil((t_hi - t_lo) / self._PANEL_WIDTH)
         width = (t_hi - t_lo) / n
         n_above = math.ceil(self._ABOVE / width)
-        self._edges = [float(e) for e in np.linspace(t_lo, t_hi, n + 1)]
-        self._edges += [t_hi + k * width for k in range(1, n_above + 1)]
-        self._n_panels = n + n_above
+        edges = [float(e) for e in np.linspace(t_lo, t_hi, n + 1)]
+        edges += [t_hi + k * width for k in range(1, n_above + 1)]
+        self._edges = edges
         self._inv_width = n / (t_hi - t_lo)
-        self._w_top = math.exp(self._edges[-1])
+        self._t_top = edges[-1]
+        self._w_top = math.exp(edges[-1])
         log_front = math.log(self._front)
 
         def composed(ts: np.ndarray) -> np.ndarray:
@@ -432,22 +437,35 @@ class ResponseRatioProxy:
                 log_front + outer.log_value(inner.inverse(math.exp(t))) - t for t in ts
             ])
 
-        proxies = [
-            Chebyshev.interpolate(composed, self._DEGREE, domain=[a, b])
-            for a, b in zip(self._edges[:-1], self._edges[1:])
-        ]
-        self._coef = [tuple(float(c) for c in p.coef) for p in proxies]
+        self._panels = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            coef = Chebyshev.interpolate(composed, self._DEGREE, domain=[a, b]).coef
+            self._panels.append((tuple(float(c) for c in coef), a, b))
+        # A t just below the top may round onto the index past the last panel.
+        self._panels.append(self._panels[-1])
+
+    def _degenerate(self, w: float) -> float:
+        v = self._inner.inverse(w)
+        return self._front * _fermi_degenerate(self._outer_alpha, v) / w
+
+    def log_ratio(self, t: float) -> float:
+        """``log(R(z)/z)`` at ``t = log w``, for any finite t; 0 below the window."""
+        if t <= self._t_lo:
+            return 0.0
+        if t >= self._t_top:
+            if t < self._T_LEADING:
+                return math.log(self._degenerate(math.exp(t)))
+            return (1.0 - 2.0 / self.d) * math.log(0.5 * self.d) - 2.0 * t / self.d
+        coef, a, b = self._panels[int((t - self._t_lo) * self._inv_width)]
+        return _cheb_eval(coef, a, b, t)
 
     def ratio(self, w: float) -> float:
         """``R(z)/z`` at ``w = 2 z / mu >= 0``."""
         if w <= self._w_lo:
             return 1.0
         if w >= self._w_top:
-            v = self._inner.inverse(w)
-            return self._front * _fermi_degenerate(self._outer_alpha, v) / w
-        t = math.log(w)
-        i = min(int((t - self._t_lo) * self._inv_width), self._n_panels - 1)
-        return math.exp(_cheb_eval(self._coef[i], self._edges[i], self._edges[i + 1], t))
+            return self._degenerate(w)
+        return math.exp(self.log_ratio(math.log(w)))
 
 
 @_shared(_check_dimension)

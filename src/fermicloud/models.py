@@ -24,7 +24,8 @@ Derived quantity: the barotropic pressure closure
 ``P(z) = int_0^z t / R(t) dt``.
 
 Each kind is one private statistics object, built once per model, that
-carries R, S, P and the majorant constant C(eta).
+carries R, S, P, the majorant constant C(eta) and, for the shooting field,
+g = log(R(z)/z) as a function of log z.
 Every one of them is a closed form or a read of the per-dimension Fermi
 tables; no quadrature runs here.  For the full kind, with
 ``v = f_(d/2-1)^(-1)(2 z / mu)``, the ideal Fermi gas identity gives
@@ -142,6 +143,10 @@ class ModelSpec:
 class _Classical:
     """Classical statistics (``mb``, or any kind at eta = 0): R(z) = z."""
 
+    # The quantum kinds' log_ratio(t) is g = log(R/z) at t = log z + log_shift,
+    # finite for any finite t; here g = 0 and the shooting field leaves it out.
+    log_ratio = None
+
     @staticmethod
     def R(z: float) -> float:
         return z
@@ -174,6 +179,13 @@ class _SimplifiedFd:
         self.d = model.d
         self.eta = model.eta
         self.p = 1.0 - 1.0 / model.d
+        # eta z^p = e^(p t) at t = log z + log_shift
+        self.log_shift = math.log(model.eta) / self.p
+
+    def log_ratio(self, t: float) -> float:
+        """g = -log(1 + e^(p t)); past p t = 40 the 1 is below half an ulp."""
+        q = self.p * t
+        return -math.log1p(math.exp(q)) if q < 40.0 else -q
 
     def R(self, z: float) -> float:
         return z / (1.0 + self.eta * z ** self.p)
@@ -216,6 +228,8 @@ class _FullFd:
         self.proxy = fermi.cached_ratio_proxy(model.d)
         self._ratio = self.proxy.ratio
         self._wscale = 2.0 / self.mu
+        self.log_ratio = self.proxy.log_ratio  # at t = log w = log z + log_shift
+        self.log_shift = math.log(self._wscale)
         self._w_lo = math.exp(self.proxy.window[0])
         self._s_lead = 2.0 ** (-0.5 * model.d) / math.gamma(0.5 * model.d)
         self._inner = fermi.cached_evaluator(model.d / 2.0 - 1.0)

@@ -108,10 +108,12 @@ class NumericsConfig:
     Attributes
     ----------
     root_tol : absolute/relative bracket tolerance for root finding.
-    ode_rel_tol, ode_abs_tol : local error control for the ODE integrator.
-    max_steps : accepted-step budget for a single ODE solve.  At eta = 0
-        a mass curve integrates one orbit in two legs, each spending one
-        budget, so a tight budget fails every grid point at once.
+    ode_rel_tol : local relative error of x and y along a shot (the absolute
+        tolerance of the logs it advances), and of the radial route.
+    ode_abs_tol : absolute tolerance of the radial route, scaled per
+        component to its series data.
+    max_steps : accepted-step budget for a single ODE solve: one shot, or
+        the one orbit that an eta = 0 mass curve reads every point off.
     """
 
     root_tol: float = 1e-12

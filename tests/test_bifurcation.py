@@ -27,7 +27,7 @@ from fermicloud import (
 )
 from fermicloud import bifurcation
 from fermicloud.bifurcation import MASS_CURVE_CSV_HEADER
-from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, NumericsError
+from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, NumericsConfig, NumericsError
 
 MB3 = ModelSpec.maxwell_boltzmann(3)
 SFD = ModelSpec.simplified_fd(3, 1e-2)
@@ -55,8 +55,13 @@ def sfd_reports():
 
 class TestMassOfDensity:
     def test_frozen_reference_value(self):
-        # frozen from an accepted run; guards the full shooting pathway
-        assert mass_of_density(MB3, 1.0) == pytest.approx(3.8063709527685892, rel=1e-12)
+        # the true mass of this launch: mpmath.odefun at 30 digits on the
+        # plain (x, y) system from the same asymptotic data at s = -20;
+        # guards the full shooting pathway at the ode_rel_tol contract
+        reference = 3.8063709526737911
+        assert mass_of_density(MB3, 1.0) == pytest.approx(reference, rel=1e-10)
+        tight = NumericsConfig(ode_rel_tol=1e-12)
+        assert mass_of_density(MB3, 1.0, tight) == pytest.approx(reference, rel=1e-12)
 
     def test_dilute_limit_is_uniform_ball(self):
         # density ~ rho everywhere inside radius 1, so M -> sigma_d rho / d
@@ -88,15 +93,19 @@ class TestMassOfDensity:
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
     @pytest.mark.parametrize("kind", ["sfd", "ffd"])
     def test_domain_sweep_returns_a_mass(self, kind, d):
-        # every eta x rho cell of the quantum domain shoots to s = 0; this
-        # guards the rule that keeps x nonnegative on the scaled leg
+        # every eta x rho cell of the quantum domain shoots past s = 0, out
+        # where the density of compact profiles sinks far below any absolute
+        # tolerance; y may underflow to 0.0 there, but never goes negative
         bad = []
         for eta in (1.0, 1e-1, 1e-2, 1e-3):
             model = ModelSpec(kind, d, eta)
             for rho in np.logspace(-2.0, 8.0, 21).tolist():
-                mass = mass_of_density(model, rho)
-                if not (math.isfinite(mass) and mass > 0.0):
-                    bad.append((eta, rho, mass))
+                traj = integrate_trajectory(model, rho, s_end=3.0)
+                mass = sigma_d(d) * traj.at(0.0).x
+                end = traj.end_state
+                if not (math.isfinite(mass) and mass > 0.0 and math.isfinite(end.x)
+                        and end.x > 0.0 and math.isfinite(end.y) and end.y >= 0.0):
+                    bad.append((eta, rho, mass, end))
         assert bad == []
 
 

@@ -24,7 +24,7 @@ from fermicloud import (
     rhs_nonautonomous,
     to_radial,
 )
-from fermicloud import fermi
+from fermicloud import dynamics, fermi
 from fermicloud.dynamics import TRAJECTORY_CSV_HEADER
 from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, DomainError
 
@@ -78,6 +78,17 @@ class TestVectorFields:
             rhs_nonautonomous(MB3, math.nan, 1.0, 1.0)
         with pytest.raises(DomainError):
             rhs_nonautonomous(MB3, 0.0, math.inf, 1.0)
+
+    @pytest.mark.parametrize("model", [MB3, SFD, FFD])
+    def test_shooting_field_stays_finite_on_far_trial_stages(self, model):
+        # trial stages of the solver can land as far out as a ~ 9e14; the
+        # field must hand the step control a finite slope to reject there,
+        # not raise OverflowError
+        field = dynamics._shooting_field(model, 1e4)
+        for a, b in [(9e14, 0.0), (-9e14, 0.0), (0.0, 9e14), (0.0, -9e14), (1e300, -1e300)]:
+            da, db = field(0.5, [a, b])
+            assert math.isfinite(da) and math.isfinite(db)
+            assert db <= 0.0
 
     @pytest.mark.parametrize("d", [2, 10, 3.5])
     def test_autonomous_dimension_checked(self, d):

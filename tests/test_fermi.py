@@ -368,6 +368,48 @@ class TestResponseRatioProxy:
         above = proxy.ratio(math.nextafter(w, math.inf))
         assert abs(above - below) <= 1e-12 * below
 
+    # ratio(w) at w = 1e-15 (below the window), 1e-10 ... 1e2 (window),
+    # 1e4 ... 1e15 (panels above it; for d = 3 and 4, 1e15 lies past them)
+    # and 1e20, 1e30 (degenerate closed form past the panels), as the proxy
+    # gave them when its window and panel edges were numpy scalars
+    RATIO_GRID = (1e-15, 1e-10, 1e-3, 0.5, 7.0, 1e2, 1e4, 1e10, 1e15, 1e20, 1e30)
+    RATIO_PINS = {
+        3: ("0x1.0000000000000p+0", "0x1.ffffffffa8464p-1", "0x1.ffcbbb7aad79dp-1",
+            "0x1.abf3842b66ad2p-1", "0x1.32a534f270971p-2", "0x1.b2d04e7aaab73p-5",
+            "0x1.4340294ef6b1fp-9", "0x1.08ceb8a796a35p-22", "0x1.f7735dabf6f22p-34",
+            "0x1.de94310fbf5b0p-45", "0x1.b075f7e3500aap-67"),
+        4: ("0x1.0000000000000p+0", "0x1.ffffffffc908ap-1", "0x1.ffdf3ea71ca50p-1",
+            "0x1.ca333681d68f2p-1", "0x1.e5c76ff4d3238p-2", "0x1.1f3d2c691e133p-3",
+            "0x1.cf5f1310721a4p-7", "0x1.da88051e00a3bp-17", "0x1.80274f468e3d0p-25",
+            "0x1.36fd255a22143p-33", "0x1.979e8ae802118p-50"),
+        9: ("0x1.0000000000000p+0", "0x1.ffffffffff19ap-1", "0x1.ffff8083a09b1p-1",
+            "0x1.ff09779d8644ep-1", "0x1.f3f81a5d78503p-1", "0x1.ad7f9b8ce62fcp-1",
+            "0x1.9610f1d0b849cp-2", "0x1.3c60b00e4882fp-6", "0x1.87fa1710da306p-10",
+            "0x1.e59703035b1f2p-14", "0x1.749ccad3e9beap-21"),
+    }
+
+    @pytest.mark.parametrize("d", sorted(RATIO_PINS))
+    def test_ratio_values_unchanged_on_every_branch(self, d):
+        proxy = cached_ratio_proxy(d)
+        for w, pin in zip(self.RATIO_GRID, self.RATIO_PINS[d]):
+            value = proxy.ratio(w)
+            assert value == pytest.approx(float.fromhex(pin), rel=1e-15, abs=0.0)
+            t = math.log(w)
+            assert type(proxy.log_ratio(t)) is float
+            assert proxy.log_ratio(t) == pytest.approx(math.log(value), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_log_ratio_finite_for_any_argument(self, d):
+        # the shooting field reads log_ratio on trial stages far past the range
+        # of exp; beyond it the leading degenerate order takes over smoothly
+        proxy = cached_ratio_proxy(d)
+        edge = proxy._T_LEADING
+        below, above = proxy.log_ratio(math.nextafter(edge, 0.0)), proxy.log_ratio(edge)
+        assert above == pytest.approx(below, rel=1e-12)
+        for t in (-1e300, -1e15, 709.9, 1e15, 1e300):
+            assert math.isfinite(proxy.log_ratio(t))
+        assert proxy.log_ratio(-1e15) == 0.0
+
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_identity_below_window(self, d):
         proxy = cached_ratio_proxy(d)

@@ -11,7 +11,8 @@ runs the unchanged ``perfbench/run.py --trace 0`` once per seed, for the
 ``run_seconds`` of ``BENCHMARK.json``, and records the median and quartiles of
 the gated end-to-end metrics over the seeds.  It then runs one ``--trace 1``
 pass on the first seed and keeps its deterministic counters (counts, bytes and
-count ratios, no times).
+count ratios, no times), with the RHS evaluations per ``integrate_trajectory``
+call beside them.
 
 Each side is labelled by its ``src_sha256`` and by ``commit`` and ``dirty``:
 the checkout's HEAD and whether ``src/`` or ``perfbench/`` differ from it, so a
@@ -85,6 +86,8 @@ def summarize(runs: list[dict], trace: dict, gated: list[str], state: dict) -> d
     for key in ("seed", "grid_shift_cells", "commit"):
         info.pop(key, None)
     info.update(state)
+    counters = deterministic_counters(trace)
+    trajectories = counters.get("dynamics.integrate_trajectory.calls")
     return {
         "info": info,
         "correct": all(r["correct"] for r in runs) and trace["correct"],
@@ -93,7 +96,11 @@ def summarize(runs: list[dict], trace: dict, gated: list[str], state: dict) -> d
         "metrics": {
             name: quartiles([r["metrics"][name]["value"] for r in runs]) for name in gated
         },
-        "trace_counters": deterministic_counters(trace),
+        "trace_counters": counters,
+        # machine-independent cost of one shot (radial cross-checks included)
+        "rhs_evals_per_trajectory": (
+            counters["numerics.rhs_evals"] / trajectories if trajectories else None
+        ),
     }
 
 
