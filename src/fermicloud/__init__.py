@@ -20,7 +20,6 @@ from .numerics import (
     BracketError,
     StepLimitError,
     BlowUpError,
-    PositivityError,
     find_root_monotone,
     ode_integrate,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "BracketError",
     "StepLimitError",
     "BlowUpError",
-    "PositivityError",
     "find_root_monotone",
     "ode_integrate",
     "bound_constant_C",

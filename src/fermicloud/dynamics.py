@@ -29,7 +29,12 @@ profile; x and y are positive by construction.
 
     Q'' = (d - 1) Q'/r - Q R(r^{1-d} Q')
 
-directly in r, as an independent cross-check of the shooting pathway.
+directly in r, as an independent cross-check of the shooting pathway.  It
+advances the normalized logs a = log(d Q/(rho r^d)) and b = log(Q'/(rho
+r^{d-1})) of the same form, launched at (0, 0) from the leading series at
+r = 1e-6, with R read through the z-based ``response_fn``: it shares the
+solver and its tolerances with a shot, but not the variable, the launch or
+the field, so agreement of Q(1) with x(0) still checks both.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ COMPARISON_GRID_SIZE = 2000
 # exp() overflows just above this (log of the largest double is ~709.78).
 _LOG_HUGE = 709.0
 
-# Exponent cap of the shooting field: its slopes stay below 1e262, so a trial
-# stage far outside the physical range stays finite and is rejected.
+# Exponent cap of the shooting and radial fields: their slopes stay below
+# 1e262, so a trial stage far outside the physical range stays finite and is
+# rejected.
 _EXP_CAP = 600.0
 
 # Relative term of the error control on the normalized logs; their absolute
@@ -474,21 +480,27 @@ def radial_Q_integrate(
     model: ModelSpec,
     rho: float,
     cfg: NumericsConfig = DEFAULT_CONFIG,
-    full_output: bool = False,
-):
+) -> tuple[float, float]:
     """Endpoint (Q(1), Q'(1)) of the second-order radial equation.
 
-    Starts from the leading series Q(r0) = (rho/d) r0^d,
-    Q'(r0) = rho r0^{d-1} at r0 = 1e-6 and integrates
-    Q'' = (d-1)Q'/r - Q R(r^{1-d} Q') up to r = 1, entirely in the radial
-    variable: no part of the (s, x, y) pathway is reused, so agreement of
-    Q(1) with x(0) cross-checks both.  Absolute tolerances are scaled per
-    component to the series data, which keeps the error control effectively
-    relative while the components grow.  Q or Q' going negative raises
-    :class:`PositivityError`; Q' may underflow to exactly 0.0.
+    Solves Q'' = (d-1)Q'/r - Q R(r^{1-d} Q') on [r0, 1], r0 = 1e-6, in the
+    normalized logs a = log(d Q / (rho r^d)) and b = log(Q' / (rho r^{d-1})):
 
-    With ``full_output=True`` the dense radial path is returned as a third
-    element.
+        a' = d expm1(b - a)/r,        b' = -(rho/d) r e^a R(z)/z,
+
+    with z = rho e^b the density and R(z)/z taken as 1 where z underflows
+    to 0.  The leading series Q = (rho/d) r^d, Q' = rho r^{d-1} launches
+    them at exactly (0, 0); both exponents are clamped like the shooting
+    field's.  They carry the tolerances of a shot (absolute
+    ``cfg.ode_rel_tol`` plus a relative term of 1e-13), so Q and Q' are
+    positive by construction and their relative error stays controlled
+    over the six decades of r.
+
+    The route stays independent of the shooting pathway: its variable is r,
+    not s = log r; it launches from the series at r0, not from the
+    asymptotic data at s_start; and it reads R through :func:`response_fn`,
+    not through the statistics' g = log(R/z).  Agreement of Q(1) with x(0)
+    therefore cross-checks both.
     """
     if not isinstance(model, ModelSpec):
         raise ConfigError(f"model must be a ModelSpec, got {model!r}")
@@ -496,34 +508,27 @@ def radial_Q_integrate(
         raise ConfigError(f"central density must be finite and positive, got {rho!r}")
     d = model.d
     rho = float(rho)
-    r0 = _RADIAL_R0
-    q0 = (rho / d) * r0**d
-    qp0 = rho * r0 ** (d - 1)
-    if q0 == 0.0 or qp0 == 0.0:
-        raise ConfigError(f"series data underflows at rho={rho!r} for d={d}")
+    k = rho / d
     resp = response_fn(model)
-    pw = d - 1
+    exp, expm1, cap = math.exp, math.expm1, _EXP_CAP
 
-    def rhs(r, u):
-        q, qp = u
-        dens = qp / r**pw
-        if dens < 0.0:  # trial steps may poke below zero
-            dens = 0.0
-        return qp, pw / r * qp - q * resp(dens)
+    def field(r, u):
+        a, b = u
+        q = b - a
+        z = rho * exp(b if b < cap else cap)
+        ratio = resp(z) / z if z > 0.0 else 1.0
+        return d * expm1(q if q < cap else cap) / r, -k * r * exp(a if a < cap else cap) * ratio
 
     path = ode_integrate(
-        rhs,
-        r0,
-        (q0, qp0),
+        field,
+        _RADIAL_R0,
+        (0.0, 0.0),
         1.0,
-        cfg,
-        abs_tol=np.array([q0, qp0]) * cfg.ode_abs_tol,
-        nonnegative=(0, 1),
+        dataclasses.replace(cfg, ode_rel_tol=_LOG_REL_TOL),
+        abs_tol=cfg.ode_rel_tol,
     )
-    q1, qp1 = path.end_state
-    if full_output:
-        return float(q1), float(qp1), path
-    return float(q1), float(qp1)
+    a1, b1 = path.end_state.tolist()
+    return k * math.exp(a1), rho * math.exp(b1)
 
 
 def comparison_grid(s_start: float) -> np.ndarray:

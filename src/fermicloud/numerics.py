@@ -37,7 +37,6 @@ __all__ = [
     "BracketError",
     "StepLimitError",
     "BlowUpError",
-    "PositivityError",
     "OdePath",
     "integrate_semi_infinite",
     "find_root_monotone",
@@ -89,15 +88,6 @@ class BlowUpError(NumericsError):
         self.state = state
 
 
-class PositivityError(NumericsError):
-    """A quantity required to stay positive crossed zero during integration."""
-
-    def __init__(self, message: str, t: float, state: np.ndarray):
-        super().__init__(f"{message} (t={t!r}, state={state!r})")
-        self.t = t
-        self.state = state
-
-
 @dataclass(frozen=True)
 class NumericsConfig:
     """Shared tolerance and budget settings.
@@ -108,10 +98,11 @@ class NumericsConfig:
     Attributes
     ----------
     root_tol : absolute/relative bracket tolerance for root finding.
-    ode_rel_tol : local relative error of x and y along a shot (the absolute
-        tolerance of the logs it advances), and of the radial route.
-    ode_abs_tol : absolute tolerance of the radial route, scaled per
-        component to its series data.
+    ode_rel_tol : local relative error of x and y along a shot, and of Q
+        and Q' on the radial route (the absolute tolerance of the
+        normalized logs both advance).
+    ode_abs_tol : the default ``abs_tol`` of a direct :func:`ode_integrate`
+        call; no library or CLI solve reads it.
     max_steps : accepted-step budget for a single ODE solve: one shot, or
         the one orbit that an eta = 0 mass curve reads every point off.
     """
@@ -290,9 +281,6 @@ _ROOT_2 = 2**0.5  # the RMS norm of a planar error
 
 # State magnitude at which the solution counts as escaped.
 _HUGE_STATE = 1e300
-# A component kept nonnegative has gone negative once it falls below this;
-# an exact underflow to 0.0 has not.
-_NEGATIVE_FLOOR = -1e-300
 
 
 class OdePath:
@@ -399,25 +387,16 @@ def _initial_step(field, t0, y0, f0, t1, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _raise_at_crossing(floors, t_old, t_new, y_old, y_new, step) -> None:
-    """Raise for the earliest crossing on one step's interpolant.
+def _raise_at_blow_up(t_old, t_new, y_old, y_new, step) -> None:
+    """Raise :class:`BlowUpError` at the blow-up crossing of one step.
 
-    Component i crosses where it falls to ``floors[i]``; the state crosses
-    the blow-up bound (index -1, first on a tie) where its larger magnitude
-    reaches it.
+    The crossing is located on the step's interpolant, where the larger
+    magnitude of the state reaches the bound.
     """
     seg = OdePath([t_old, t_new], [y_old, y_new], [step])
-    g = lambda s, i: seg(s)[i] - floors[i] if i >= 0 else _HUGE_STATE - max(map(abs, seg(s)))
-    crossed = [i for i in (0, 1) if y_new[i] < floors[i]]
-    if max(map(abs, y_new)) >= _HUGE_STATE:
-        crossed.insert(0, -1)
-    root, first = min(
-        (brentq(g, t_old, t_new, args=(i,), xtol=4 * _EPS, rtol=4 * _EPS), i) for i in crossed
-    )
-    state = np.array(seg(root))
-    if first < 0:
-        raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, state)
-    raise PositivityError(f"component {first} went negative", root, state)
+    g = lambda s: _HUGE_STATE - max(map(abs, seg(s)))
+    root = brentq(g, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+    raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, np.array(seg(root)))
 
 
 def ode_integrate(
@@ -427,7 +406,6 @@ def ode_integrate(
     t1: float,
     cfg: NumericsConfig = DEFAULT_CONFIG,
     abs_tol: float | Sequence[float] | None = None,
-    nonnegative: Sequence[int] = (),
 ) -> OdePath:
     """Integrate the planar ``u' = field(t, u)`` forward from ``t0`` to ``t1``.
 
@@ -439,21 +417,15 @@ def ode_integrate(
     [0.2, 10], no growth right after a rejection, and its minimum step.
     Every stage is written out per component in scipy's order of operations,
     so it takes ``RK45``'s steps.  ``abs_tol`` overrides the configured
-    absolute tolerance (may be per-component).  ``nonnegative`` lists the
-    component indices that must not go negative: one that falls below
-    -1e-300 raises :class:`PositivityError`, with the crossing of that
-    floor located on the step's interpolant.  An exact underflow to 0.0 is
-    not a crossing.
+    absolute tolerance (may be per-component).
 
     The returned :class:`OdePath` carries the counters ``nfev`` (field
     evaluations), ``n_accepted`` and ``n_rejected`` (step attempts).
 
     Raises
     ------
-    DomainError : unless ``t0 < t1``, both finite, for a state that is not
-        two components of magnitude at most 1e300, or when a ``nonnegative``
-        component starts below the floor.
-    ConfigError : for a ``nonnegative`` index other than 0 or 1.
+    DomainError : unless ``t0 < t1``, both finite, or for a state that is
+        not two components of magnitude at most 1e300.
     StepLimitError : when reaching ``t1`` would take more than ``max_steps``
         accepted steps.
     BlowUpError : when a state component exceeds 1e300 in magnitude, or the
@@ -465,11 +437,6 @@ def ode_integrate(
     if len(y) != 2 or not all(abs(v) <= _HUGE_STATE for v in y):
         raise DomainError(f"initial state must be two components within 1e300, got {u0!r}")
     y0, y1 = y
-    if not set(nonnegative) <= {0, 1}:
-        raise ConfigError(f"nonnegative indices must be 0 or 1, got {nonnegative!r}")
-    floor0, floor1 = floors = [_NEGATIVE_FLOOR if i in nonnegative else -math.inf for i in (0, 1)]
-    if y0 < floor0 or y1 < floor1:
-        raise DomainError(f"a nonnegative component starts negative: {u0!r}")
     t0, t1 = float(t0), float(t1)
     rtol = max(cfg.ode_rel_tol, 100 * _EPS)
     tol = cfg.ode_abs_tol if abs_tol is None else abs_tol
@@ -556,8 +523,8 @@ def ode_integrate(
             n_rejected += 1
 
         step = (k1, k2, k3, k4, k5, k6, k7)
-        if n0 < floor0 or n1 < floor1 or max(abs(n0), abs(n1)) >= _HUGE_STATE:
-            _raise_at_crossing(floors, t, t_new, y, y_new, step)
+        if max(abs(n0), abs(n1)) >= _HUGE_STATE:
+            _raise_at_blow_up(t, t_new, y, y_new, step)
         t, y, f = t_new, y_new, k7
         y0, y1 = n0, n1
         ts.append(t)

@@ -23,6 +23,7 @@ from fermicloud import (
     integrate_trajectory,
     mass_curve,
     mass_of_density,
+    radial_Q_integrate,
     sigma_d,
 )
 from fermicloud import bifurcation
@@ -95,17 +96,22 @@ class TestMassOfDensity:
     def test_domain_sweep_returns_a_mass(self, kind, d):
         # every eta x rho cell of the quantum domain shoots past s = 0, out
         # where the density of compact profiles sinks far below any absolute
-        # tolerance; y may underflow to 0.0 there, but never goes negative
+        # tolerance; y may underflow to 0.0 there, but never goes negative.
+        # The radial route returns the same Q(1) = x(0) in every cell.
         bad = []
         for eta in (1.0, 1e-1, 1e-2, 1e-3):
             model = ModelSpec(kind, d, eta)
             for rho in np.logspace(-2.0, 8.0, 21).tolist():
                 traj = integrate_trajectory(model, rho, s_end=3.0)
-                mass = sigma_d(d) * traj.at(0.0).x
+                x0 = traj.at(0.0).x
+                mass = sigma_d(d) * x0
                 end = traj.end_state
                 if not (math.isfinite(mass) and mass > 0.0 and math.isfinite(end.x)
                         and end.x > 0.0 and math.isfinite(end.y) and end.y >= 0.0):
                     bad.append((eta, rho, mass, end))
+                q1, _ = radial_Q_integrate(model, rho)
+                if not abs(q1 - x0) <= 1e-6 * x0:
+                    bad.append((eta, rho, x0, q1))
         assert bad == []
 
 

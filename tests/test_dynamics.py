@@ -351,20 +351,6 @@ class TestRadialCrossCheck:
         assert x0 == pytest.approx(pin, rel=1e-9)
         assert abs(x0 - q1) / max(abs(x0), abs(q1)) < 1e-6
 
-    def test_full_output_path_is_dense(self):
-        _, _, path = radial_Q_integrate(MB3, 1.0, full_output=True)
-        r = np.linspace(1e-6, 1.0, 50)
-        vals = path(r)
-        assert vals.shape == (2, 50)
-        assert np.all(np.diff(vals[0]) > 0)  # enclosed mass grows with radius
-
-    def test_series_seed_matches_density(self):
-        # Qprime / r^{d-1} at the seed radius recovers the central density
-        _, _, path = radial_Q_integrate(MB3, 2.0, full_output=True)
-        r = 1e-5
-        qp = float(path(np.array([r]))[1, 0])
-        assert qp / r**2 == pytest.approx(2.0, rel=1e-6)
-
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             radial_Q_integrate("mb", 1.0)
