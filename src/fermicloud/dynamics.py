@@ -31,7 +31,7 @@ profile; x and y are positive by construction.
 
 directly in r, as an independent cross-check of the shooting pathway.  It
 advances the normalized logs a = log(d Q/(rho r^d)) and b = log(Q'/(rho
-r^{d-1})) of the same form, launched at (0, 0) from the leading series at
+r^{d-1})) of the same form, launched from the series to second order at
 r = 1e-6, with R read through the z-based ``response_fn``: it shares the
 solver and its tolerances with a shot, but not the variable, the launch or
 the field, so agreement of Q(1) with x(0) still checks both.
@@ -102,7 +102,7 @@ _DIFF_HALF_WIDTH = 3e-4
 _LYAPUNOV_SAMPLES = 2001
 _LYAPUNOV_STEP_TOL = 1e-9
 _LYAPUNOV_IDENTITY_RTOL = 1e-3
-# Seed radius of the radial route's leading series.
+# Seed radius of the radial route's series launch.
 _RADIAL_R0 = 1e-6
 
 
@@ -489,12 +489,12 @@ def radial_Q_integrate(
         a' = d expm1(b - a)/r,        b' = -(rho/d) r e^a R(z)/z,
 
     with z = rho e^b the density and R(z)/z taken as 1 where z underflows
-    to 0.  The leading series Q = (rho/d) r^d, Q' = rho r^{d-1} launches
-    them at exactly (0, 0); both exponents are clamped like the shooting
-    field's.  They carry the tolerances of a shot (absolute
-    ``cfg.ode_rel_tol`` plus a relative term of 1e-13), so Q and Q' are
-    positive by construction and their relative error stays controlled
-    over the six decades of r.
+    to 0.  They launch from the series b = beta r^2, a = d beta r^2/(d+2),
+    beta = -R(rho)/(2d), off by O((rho r0^2)^2) at r0; both exponents are
+    clamped like the shooting field's.  They carry the tolerances of a shot
+    (absolute ``cfg.ode_rel_tol`` plus a relative term of 1e-13), so Q and
+    Q' are positive by construction and their relative error stays
+    controlled over the six decades of r.
 
     The route stays independent of the shooting pathway: its variable is r,
     not s = log r; it launches from the series at r0, not from the
@@ -519,10 +519,11 @@ def radial_Q_integrate(
         ratio = resp(z) / z if z > 0.0 else 1.0
         return d * expm1(q if q < cap else cap) / r, -k * r * exp(a if a < cap else cap) * ratio
 
+    b0 = -resp(rho) / (2 * d) * _RADIAL_R0**2
     path = ode_integrate(
         field,
         _RADIAL_R0,
-        (0.0, 0.0),
+        (d * b0 / (d + 2), b0),
         1.0,
         dataclasses.replace(cfg, ode_rel_tol=_LOG_REL_TOL),
         abs_tol=cfg.ode_rel_tol,

@@ -24,12 +24,16 @@ Evaluation strategy
   below 1e-12 relative at z = 60 and falls like z^-10.
 
 The two closed-form regimes are validated against the quadrature in the
-test suite, so the quadrature stays the single source of truth.
+test suite, so the quadrature (QUADPACK, the package's one use of scipy)
+stays the single source of truth.
 
 Hot-loop evaluators
 -------------------
 * :class:`FermiEvaluator` proxies ``log f_alpha`` of one order by Chebyshev
   panels fitted to the quadrature, with a Brent inverse on a seed table.
+  The nine orders d/2 - 2 and d/2 - 1, d = 3..9, read their fit from the
+  shipped ``fermi_tables.json`` (``tools/make_fermi_tables.py``); any other
+  order is fitted on first use.
 * :class:`ResponseRatioProxy` serves the full-statistics response.  With
   ``w = 2 z / mu`` its ratio is ``R(z)/z = ((d-2)/2) zeta(w)/w``, ``zeta``
   the composition :func:`zeta_map`, so it depends on d only; eta enters
@@ -43,19 +47,21 @@ Hot-loop evaluators
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from functools import lru_cache, wraps
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaln
 
 from .numerics import (
     ConfigError,
     DomainError,
     NumericsError,
+    _EPS,
+    _brentq,
     find_root_monotone,
     integrate_semi_infinite,
 )
@@ -76,7 +82,8 @@ __all__ = [
 CLASSICAL_CUTOFF = -30.0
 DEGENERATE_CUTOFF = 60.0
 _QUAD_SPLIT_MARGIN = 30.0  # the quadrature splits this far past the edge
-_BRENT_XTOL = _BRENT_RTOL = 4.0 * np.finfo(float).eps  # the evaluator's inverse
+_BRENT_XTOL = _BRENT_RTOL = 4.0 * _EPS  # the evaluator's inverse
+_TABLE_PATH = Path(__file__).with_name("fermi_tables.json")
 
 # 2 * eta(2n) for the degenerate tail corrections, eta the alternating zeta.
 _DEGEN_COEFF = (
@@ -96,7 +103,7 @@ def _check_order(alpha: float) -> float:
 
 def _gamma1p(alpha: float) -> float:
     """Gamma(alpha + 1), finite for alpha > -1."""
-    return math.exp(gammaln(alpha + 1.0))
+    return math.exp(math.lgamma(alpha + 1.0))
 
 
 def _occupation(t: float) -> float:
@@ -269,14 +276,60 @@ def bound_constant_C(d: int) -> tuple[float, float]:
         raise NumericsError(
             f"degeneracy defect not positive anywhere on the scan grid for d={d}"
         )
-    refined = minimize_scalar(
-        lambda t: -defect(t),
-        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    peak = max(values[best], -float(refined.fun))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    _, least = _bounded_minimum(lambda t: -defect(t), float(lo), float(hi), 1e-10)
+    peak = max(values[best], -least)
     return peak, abs(peak - values[best]) + 1e-2 * peak
+
+
+def _bounded_minimum(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """``(x, func(x))`` at the minimum on [a, b]: a line-for-line port of scipy's
+    ``minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})``.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = func(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        if num >= 500:  # scipy's default maxiter
+            break
+    return xf, fx
 
 
 def _cheb_eval(coef: tuple[float, ...], a: float, b: float, v: float) -> float:
@@ -294,8 +347,8 @@ class FermiEvaluator:
     """Fast scalar evaluator of one fixed order.
 
     Outside the quadrature window the closed-form branches apply; inside,
-    Chebyshev proxies of ``log f_alpha`` are fitted once per panel from the
-    quadrature values and reused.  Proxy error is below 1e-11 relative,
+    Chebyshev panels of ``log f_alpha``, fitted to the quadrature (or read
+    from the shipped table), apply.  Proxy error is below 1e-11 relative,
     checked against direct quadrature in the tests.  Intended for repeated
     scalar evaluation (the sampler of :class:`ResponseRatioProxy`, for one);
     the public :func:`fermi_f` stays pure quadrature in the midrange.
@@ -308,31 +361,31 @@ class FermiEvaluator:
 
     _N_PANELS = 6
     _DEGREE = 64
+    _lo = CLASSICAL_CUTOFF - 0.5
+    _hi = DEGENERATE_CUTOFF + 0.5
 
     def __init__(self, alpha: float):
         self.alpha = _check_order(alpha)
-        self._gamma = _gamma1p(self.alpha)
-        self._log_gamma = math.log(self._gamma)
-        self._lo = CLASSICAL_CUTOFF - 0.5
-        self._hi = DEGENERATE_CUTOFF + 0.5
-        edges = np.linspace(self._lo, self._hi, self._N_PANELS + 1)
-        self._edges = edges.tolist()
-
-        def sampled(vs: np.ndarray) -> np.ndarray:
-            return np.array(
-                [math.log(_fermi_quadrature(self.alpha, v)) for v in np.atleast_1d(vs)]
-            )
-
-        proxies = [
-            Chebyshev.interpolate(sampled, self._DEGREE, domain=[edges[i], edges[i + 1]])
-            for i in range(self._N_PANELS)
-        ]
-        self._coef = [tuple(float(c) for c in p.coef) for p in proxies]
+        self._log_gamma = math.log(_gamma1p(self.alpha))
+        self._edges = np.linspace(self._lo, self._hi, self._N_PANELS + 1).tolist()
+        table = _shipped_tables().get(repr(self.alpha))
+        self._coef = [tuple(c) for c in table] if table else self._fit(self.alpha)
         # Seed table for the inverse: log f on a dense uniform grid.
         self._seed_v = [float(v) for v in np.linspace(self._lo, self._hi, 1537)]
         self._seed_logf = [self._log_mid(v) for v in self._seed_v]
         self._logf_lo = self._seed_logf[0]
         self._logf_hi = self._seed_logf[-1]
+
+    @classmethod
+    def _fit(cls, alpha: float) -> list[tuple[float, ...]]:
+        """Chebyshev coefficients of ``log f_alpha`` on each panel, from quadrature."""
+        edges = np.linspace(cls._lo, cls._hi, cls._N_PANELS + 1)
+
+        def sampled(vs: np.ndarray) -> np.ndarray:
+            return np.array([math.log(_fermi_quadrature(alpha, v)) for v in np.atleast_1d(vs)])
+
+        return [tuple(Chebyshev.interpolate(sampled, cls._DEGREE, domain=[a, b]).coef.tolist())
+                for a, b in zip(edges[:-1], edges[1:])]
 
     def _log_mid(self, v: float) -> float:
         i = min(
@@ -366,8 +419,14 @@ class FermiEvaluator:
             lo, hi = self._seed_v[k - 1], self._seed_v[k]
             ends = {lo: self._seed_logf[k - 1] - target, hi: self._seed_logf[k] - target}
         # Brent starts by evaluating both ends: hand it the values already known.
-        return brentq(lambda v: ends[v] if v in ends else self.log_value(v) - target,
-                      lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+        return _brentq(lambda v: ends[v] if v in ends else self.log_value(v) - target,
+                       lo, hi, _BRENT_XTOL, _BRENT_RTOL)
+
+
+@lru_cache(maxsize=1)
+def _shipped_tables() -> dict[str, list[list[float]]]:
+    """The shipped coefficients of ``FermiEvaluator._fit``, keyed by ``repr(alpha)``."""
+    return json.loads(_TABLE_PATH.read_text(encoding="utf-8"))["orders"]
 
 
 @_shared(_check_order)

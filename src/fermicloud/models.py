@@ -44,8 +44,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-from scipy.special import gamma as _gamma_fn
-
 from . import fermi
 from .numerics import ConfigError, DomainError
 
@@ -74,7 +72,9 @@ class ModelKind(str, Enum):
 def sigma_d(d: int) -> float:
     """Surface measure of the unit sphere in d dimensions, 2 pi^(d/2) / Gamma(d/2)."""
     d = fermi._check_dimension(d)
-    return 2.0 * math.pi ** (d / 2.0) / float(_gamma_fn(d / 2.0))
+    # Gamma(d/2): sqrt(pi) (d-2)!! / 2^((d-1)/2) for odd d, (d/2 - 1)! for even d
+    odd = math.sqrt(math.pi) * math.prod(range(1, d - 1, 2)) / 2 ** (d // 2)
+    return 2.0 * math.pi ** (d / 2.0) / (odd if d % 2 else math.factorial(d // 2 - 1))
 
 
 def mu_from_eta(d: int, eta: float) -> float:

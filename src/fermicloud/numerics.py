@@ -3,12 +3,13 @@
 Three primitives live here: quadrature over ``[0, inf)`` with a caller-chosen
 split point, root finding on a monotone function with automatic bracket
 expansion, and adaptive Runge-Kutta integration with dense output.  The
-first two are thin, carefully-configured wrappers around QUADPACK and Brent's
-method in scipy.  The integrator is the Dormand-Prince 5(4) pair with
-Shampine's quartic dense output, stepped in plain Python floats: every system
-here is planar (two components), where array arithmetic costs far more than
-the vector field.  Its tableau, initial-step heuristic, error norm and step
-controller are those of scipy's ``RK45``, so it takes the same steps.
+quadrature wraps QUADPACK, the one part that imports scipy (on first use).
+Root finding is a port of scipy's Brent search.  The integrator is the
+Dormand-Prince 5(4) pair with Shampine's quartic dense output, stepped in
+plain Python floats: every system here is planar (two components), where
+array arithmetic costs far more than the vector field.  Its tableau,
+initial-step heuristic, error norm and step controller are those of scipy's
+``RK45``, so it takes the same steps.
 
 Every routine is a pure function of its inputs: no hidden state, no
 randomness, so repeated calls with identical arguments give bit-identical
@@ -24,8 +25,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = [
     "NumericsConfig",
@@ -141,6 +140,8 @@ def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def _quad(f, a, b, points=None) -> tuple[float, float]:
+    from scipy.integrate import quad  # the one scipy call; most processes never make it
+
     result = quad(
         f,
         a,
@@ -236,9 +237,57 @@ def find_root_monotone(
         )
     # Brent starts by evaluating both ends: hand it the values already known.
     ends = {lo: glo, hi: ghi}
-    rtol = max(cfg.root_tol, 4 * np.finfo(float).eps)
-    return float(brentq(lambda x: ends[x] if x in ends else g(x), lo, hi,
-                        xtol=cfg.root_tol, rtol=rtol, maxiter=200))
+    rtol = max(cfg.root_tol, 4 * _EPS)
+    return _brentq(lambda x: ends[x] if x in ends else g(x), lo, hi, cfg.root_tol, rtol, 200)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` on a sign-changing [xa, xb]: scipy's ``brentq.c`` line for line,
+    so the same calls and root as ``scipy.optimize.brentq``.  Where C divides
+    by zero, its inf or nan selects bisection; so does the inf taken here.
+    """
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise DomainError("root finder objective returned NaN at a bracket end")
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change on [{xa!r}, {xb!r}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise DomainError(f"root finder objective returned NaN at x={xcur!r}")
+    raise NumericsError(f"root finder did not converge in {maxiter} iterations")
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -395,7 +444,7 @@ def _raise_at_blow_up(t_old, t_new, y_old, y_new, step) -> None:
     """
     seg = OdePath([t_old, t_new], [y_old, y_new], [step])
     g = lambda s: _HUGE_STATE - max(map(abs, seg(s)))
-    root = brentq(g, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+    root = _brentq(g, t_old, t_new, 4 * _EPS, 4 * _EPS)
     raise BlowUpError(f"solution magnitude exceeded {_HUGE_STATE:g}", root, np.array(seg(root)))
 
 

@@ -26,7 +26,7 @@ from fermicloud import (
 )
 from fermicloud import dynamics, fermi
 from fermicloud.dynamics import TRAJECTORY_CSV_HEADER
-from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, DomainError
+from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, DomainError, NumericsConfig
 
 MB3 = ModelSpec.maxwell_boltzmann(3)
 SFD = ModelSpec.simplified_fd(3, 1e-2)
@@ -350,6 +350,16 @@ class TestRadialCrossCheck:
         q1, _ = radial_Q_integrate(model, 10.0)
         assert x0 == pytest.approx(pin, rel=1e-9)
         assert abs(x0 - q1) / max(abs(x0), abs(q1)) < 1e-6
+
+    @pytest.mark.parametrize("model", [MB3, ModelSpec.full_fd(3, 1e-3)], ids=["mb", "ffd"])
+    def test_launch_error_below_tolerance_at_large_density(self, model):
+        # launching the series to second order leaves O((rho r0^2)^2) at
+        # r0 = 1e-6: far below a tight shot's error even at rho = 1e8, where
+        # the leading term alone was off by 1.6e-8 (mb) and 3.9e-8 (ffd)
+        tight = NumericsConfig(ode_rel_tol=1e-13)
+        x0 = integrate_trajectory(model, 1e8, cfg=tight).end_state.x
+        q1, _ = radial_Q_integrate(model, 1e8)
+        assert abs(q1 - x0) <= 1e-10 * x0
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Contract tests for the occupancy-weighted power-law integrals."""
 
+import json
 import math
 
 import numpy as np
@@ -253,6 +254,68 @@ class TestBoundConstant:
         for d in range(3, 10):
             C, _ = bound_constant_C(d)
             assert C > 0.0
+
+    def test_values_unchanged(self):
+        # bit for bit the values of scipy's bounded minimizer on the same scan
+        pins = [0.2797092449703108, 0.21068933579722168, 0.1665163004236115,
+                0.13600472823433174, 0.11399432606197853, 0.09755259187651566,
+                0.08490557760194938]
+        assert [bound_constant_C(d)[0] for d in range(3, 10)] == pins
+
+
+MINIMIZER_CASES = {
+    "parabola": lambda x: (x - 0.3) ** 2,
+    "cosine": lambda x: math.cos(3.0 * x),
+    "kink": lambda x: abs(x - 0.1),
+    "rising": lambda x: x,
+    "falling": lambda x: -x,
+    "constant": lambda x: 1.0,
+    "double-well": lambda x: (x * x - 0.5) ** 2 + 0.01 * x,
+    "narrow-well": lambda x: -math.exp(-((x - 0.77) ** 2) / 1e-6),
+}
+
+
+@pytest.mark.parametrize("xatol", [1e-5, 1e-10, 1e-14])
+@pytest.mark.parametrize("bounds", [(-1.0, 1.0), (0.0, 2.0), (0.2, 0.2000001)])
+@pytest.mark.parametrize("name", sorted(MINIMIZER_CASES))
+def test_bounded_minimizer_port_matches_scipy(name, bounds, xatol):
+    f = MINIMIZER_CASES[name]
+    ours, theirs = [], []
+    x, fx = fermi._bounded_minimum(lambda t: ours.append(t) or f(t), *bounds, xatol)
+    res = minimize_scalar(lambda t: theirs.append(t) or f(t), bounds=bounds,
+                          method="bounded", options={"xatol": xatol})
+    assert (x, fx) == (float(res.x), float(res.fun))
+    assert ours == theirs
+
+
+TABLED_ORDERS = sorted({d / 2.0 - k for d in range(3, 10) for k in (1, 2)})
+
+
+class TestShippedTables:
+    def test_table_holds_the_nine_response_orders(self):
+        table = json.loads(fermi._TABLE_PATH.read_text(encoding="utf-8"))
+        assert table["layout"] == {"panels": FermiEvaluator._N_PANELS,
+                                   "degree": FermiEvaluator._DEGREE,
+                                   "lo": FermiEvaluator._lo, "hi": FermiEvaluator._hi}
+        assert list(table["orders"]) == [repr(a) for a in TABLED_ORDERS]
+        assert TABLED_ORDERS == [k / 2.0 for k in range(-1, 8)]
+
+    @pytest.mark.parametrize("alpha", TABLED_ORDERS)
+    def test_refit_reproduces_the_table(self, alpha):
+        # the quadrature fit gives the shipped coefficients bit for bit, and
+        # the evaluator reads them
+        def hexed(panels):
+            return [[float(c).hex() for c in coef] for coef in panels]
+
+        refit = FermiEvaluator._fit(alpha)
+        assert hexed(refit) == hexed(fermi._shipped_tables()[repr(alpha)])
+        assert hexed(cached_evaluator(alpha)._coef) == hexed(refit)
+
+    def test_other_orders_are_fitted(self):
+        ev = cached_evaluator(4.5)  # the pressure of d = 9 reads order d/2
+        assert repr(4.5) not in fermi._shipped_tables()
+        assert ev._coef == FermiEvaluator._fit(4.5)
+        assert ev.value(2.0) == pytest.approx(fermi_f(4.5, 2.0), rel=1e-11)
 
 
 class TestFermiEvaluator:

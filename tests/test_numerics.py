@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from fermicloud import ModelSpec, dynamics
+from fermicloud import ModelSpec, dynamics, numerics
 from fermicloud.numerics import (
     DEFAULT_CONFIG,
     BlowUpError,
@@ -15,6 +15,7 @@ from fermicloud.numerics import (
     ConfigError,
     DomainError,
     NumericsConfig,
+    NumericsError,
     QuadratureError,
     StepLimitError,
     find_root_monotone,
@@ -120,6 +121,68 @@ class TestMonotoneRootFinder:
         assert len(seen) == len(set(seen))
         tol = DEFAULT_CONFIG.root_tol
         assert root == brentq(lambda x: x**3 - 8.0, 0.0, 10.0, xtol=tol, rtol=tol)
+
+
+# (f, a, b): smooth, steep, reversed and end-point cases, a flat step (which
+# only ever bisects), a plateau, and tiny slopes whose product underflows to
+# 0 in the extrapolation step (a division by zero that C takes as inf).
+BRENT_CASES = {
+    "cubic": (lambda x: x**3 - 8.0, 0.0, 10.0),
+    "exp": (lambda x: math.exp(x) - 5.0, -3.0, 7.0),
+    "reversed": (lambda x: math.tanh(x - 0.25), 3.0, -2.0),
+    "root-at-end": (lambda x: x - 1.0, 1.0, 4.0),
+    "huge": (lambda x: 1e300 * (x - 0.2), 0.0, 1.0),
+    "flat-step": (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),
+    "plateau": (lambda x: min(max(x - 0.3, -1e-3), 0.5), -1.0, 2.0),
+    "zero-division": (lambda x: 1e-200 * (x**3 - 0.1), 0.0, 1.0),
+    "zero-division-exp": (lambda x: 1e-160 * math.expm1(x - 0.7), 0.0, 3.0),
+}
+
+
+class TestBrentPort:
+    """``numerics._brentq`` is scipy's ``brentq``: same calls, same root."""
+
+    @pytest.mark.parametrize("tols", [(2e-12, 4 * np.finfo(float).eps), (1e-12, 1e-12),
+                                      (1e-3, 1e-6)], ids=["default", "root_tol", "loose"])
+    @pytest.mark.parametrize("name", sorted(BRENT_CASES))
+    def test_same_calls_and_root_as_scipy(self, name, tols):
+        f, a, b = BRENT_CASES[name]
+        xtol, rtol = tols
+        ours, theirs = [], []
+        root = numerics._brentq(lambda x: ours.append(x) or f(x), a, b, xtol, rtol)
+        expected = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol, rtol=rtol)
+        assert root == expected
+        assert ours == theirs
+
+    def test_same_on_random_power_laws(self):
+        # odd powers (x-c)|x-c|^(k-1), k = 1..9, at scales 1e-300 .. 1e300;
+        # the flattest ones exhaust the iteration budget on both sides
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            k = int(rng.integers(1, 10))
+            c, scale = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-300.0, 300.0)
+            f = lambda x: scale * (x - c) * abs(x - c) ** (k - 1)
+            a, b = rng.uniform(-3.0, c), rng.uniform(c, 3.0)
+            ours, theirs = [], []
+            try:
+                root = numerics._brentq(lambda x: ours.append(x) or f(x), a, b, 1e-12, 1e-12)
+            except NumericsError:
+                root = "no convergence"
+            try:
+                expected = brentq(lambda x: theirs.append(x) or f(x), a, b,
+                                  xtol=1e-12, rtol=1e-12)
+            except RuntimeError:
+                expected = "no convergence"
+            assert (root, ours) == (expected, theirs)
+
+    def test_failures_are_typed(self):
+        with pytest.raises(BracketError):
+            numerics._brentq(lambda x: x + 2.0, 0.0, 1.0, 1e-12, 1e-12)
+        with pytest.raises(DomainError):
+            numerics._brentq(lambda x: math.nan if x > 0.3 else -1.0, 0.0, 1.0, 1e-12, 1e-12)
+        # x^9 near its root is flatter than the iteration budget resolves
+        with pytest.raises(NumericsError):
+            numerics._brentq(lambda x: (x - 0.4) ** 9, 0.0, 1.0, 2e-12, 4 * np.finfo(float).eps)
 
 
 class TestOdeIntegrate:
