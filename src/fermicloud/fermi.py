@@ -39,8 +39,9 @@ Hot-loop evaluators
   the composition :func:`zeta_map`, so it depends on d only; eta enters
   through the scale ``2/mu`` alone.  One piecewise Chebyshev interpolant of
   ``log(R/z)`` in ``log w``, sampled once per dimension from the composition
-  of the two order evaluators, replaces the per-call Brent inverse; the
-  closed forms bound it on both sides.  The dimension constant C(d) of
+  of the two order evaluators and read as degree-7 Taylor rows cut from its
+  panels, replaces the per-call Brent inverse; the closed forms bound it on
+  both sides.  The dimension constant C(d) of
   :func:`bound_constant_C`, the peak of ``w^(-2/d) (1 - ratio(w))``, is
   read from the same proxy.
 """
@@ -54,7 +55,6 @@ from functools import lru_cache, wraps
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
 from .numerics import (
     ConfigError,
@@ -379,6 +379,8 @@ class FermiEvaluator:
     @classmethod
     def _fit(cls, alpha: float) -> list[tuple[float, ...]]:
         """Chebyshev coefficients of ``log f_alpha`` on each panel, from quadrature."""
+        from numpy.polynomial.chebyshev import Chebyshev
+
         edges = np.linspace(cls._lo, cls._hi, cls._N_PANELS + 1)
 
         def sampled(vs: np.ndarray) -> np.ndarray:
@@ -441,10 +443,10 @@ class ResponseRatioProxy:
     The full response is ``R(z) = z * ratio(2 z / mu)``, so every eta of one
     dimension shares this object.  ``window`` is the inner evaluator's range
     ``(logf_lo, logf_hi)`` of ``t = log w`` for the order ``d/2 - 1``.  From
-    its bottom to at least ``_ABOVE`` past its top, :meth:`log_ratio` is a
-    piecewise Chebyshev interpolant of degree ``_DEGREE`` on uniform panels
-    at most ``_PANEL_WIDTH`` wide; the window top is a panel edge.  Each
-    panel interpolates
+    its bottom to at least ``_ABOVE`` past its top, :meth:`log_ratio` reads a
+    fit of degree ``_DEGREE`` on uniform Chebyshev panels at most
+    ``_PANEL_WIDTH`` wide; the window top is a panel edge.  Each panel
+    interpolates
     ``g(t) = log((d-2)/2) + log f_(d/2-2)(f_(d/2-1)^(-1)(e^t)) - t``, composed
     from the two cached order evaluators, at its interior Chebyshev points:
     the composition switches branch exactly at the window edges, so it is
@@ -455,21 +457,27 @@ class ResponseRatioProxy:
     degenerate closed form, through the inner evaluator's Brent inverse, and
     beyond the range of ``exp`` its leading order.
 
-    A panel read is one index and one Clenshaw sum in Python floats, with
-    no root search; :meth:`ratio` adds one ``log`` and one ``exp``.
-    Agreement with the composition and with :func:`zeta_map` is checked in
-    the tests.
+    Each panel is cut into ``_PIECES`` equal pieces, and each piece keeps the
+    degree-7 Taylor row of its panel's series at its centre, within 2e-14 of
+    the panel read (narrower pieces, lower degree: Trefethen, *Approximation
+    Theory and Approximation Practice*, ch. 8).  A read is one row index and
+    one Horner sum in Python floats, with no root search; :meth:`ratio` adds
+    one ``log`` and one ``exp``.  Agreement with the panels, the composition
+    and :func:`zeta_map` is checked in the tests.
     """
 
     # Trailing coefficients sit at or below the composition's own noise.
     _PANEL_WIDTH = 1.0
     _DEGREE = 14
     _ABOVE = 24.0
+    _PIECES = 16
     # log_ratio reads the leading degenerate order from here on: exp(t)
     # overflows just above 709, and the next order is e^(-4t/d) relative.
     _T_LEADING = 700.0
 
     def __init__(self, d: int):
+        from numpy.polynomial.chebyshev import Chebyshev
+
         self.d = _check_dimension(d)
         inner = cached_evaluator(self.d / 2.0 - 1.0)
         outer = cached_evaluator(self.d / 2.0 - 2.0)
@@ -496,12 +504,12 @@ class ResponseRatioProxy:
                 log_front + outer.log_value(inner.inverse(math.exp(t))) - t for t in ts
             ])
 
-        self._panels = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            coef = Chebyshev.interpolate(composed, self._DEGREE, domain=[a, b]).coef
-            self._panels.append((tuple(float(c) for c in coef), a, b))
-        # A t just below the top may round onto the index past the last panel.
-        self._panels.append(self._panels[-1])
+        self._panels = np.array([Chebyshev.interpolate(composed, self._DEGREE, domain=[a, b]).coef
+                                 for a, b in zip(edges[:-1], edges[1:])])
+        self._rows = _taylor_rows(self._panels, np.array(edges), self._PIECES)
+        # A t just below the top may round onto the index past the last row.
+        self._rows.append(self._rows[-1])
+        self._inv_row = self._PIECES * self._inv_width
 
     def _degenerate(self, w: float) -> float:
         v = self._inner.inverse(w)
@@ -515,8 +523,9 @@ class ResponseRatioProxy:
             if t < self._T_LEADING:
                 return math.log(self._degenerate(math.exp(t)))
             return (1.0 - 2.0 / self.d) * math.log(0.5 * self.d) - 2.0 * t / self.d
-        coef, a, b = self._panels[int((t - self._t_lo) * self._inv_width)]
-        return _cheb_eval(coef, a, b, t)
+        p0, p1, p2, p3, p4, p5, p6, p7, centre = self._rows[int((t - self._t_lo) * self._inv_row)]
+        x = t - centre
+        return p0 + x * (p1 + x * (p2 + x * (p3 + x * (p4 + x * (p5 + x * (p6 + x * p7))))))
 
     def ratio(self, w: float) -> float:
         """``R(z)/z`` at ``w = 2 z / mu >= 0``."""
@@ -525,6 +534,26 @@ class ResponseRatioProxy:
         if w >= self._w_top:
             return self._degenerate(w)
         return math.exp(self.log_ratio(math.log(w)))
+
+
+def _taylor_rows(coef: np.ndarray, edges: np.ndarray, pieces: int) -> list[tuple[float, ...]]:
+    """Rows ``(p_0, ..., p_7, centre)``, ``pieces`` per Chebyshev panel.
+
+    ``coef[i]`` is the series of panel ``[edges[i], edges[i+1]]``, and ``p_j``
+    is its j-th derivative in t over j! at the centre of each equal piece.
+    """
+    from numpy.polynomial import chebyshev
+
+    a, b = edges[:-1, None], edges[1:, None]
+    centres = a + (b - a) * (np.arange(pieces) + 0.5) / pieces  # (panels, pieces)
+    u = (2.0 * centres - (a + b)) / (b - a)
+    series, scale, columns = coef.T[:, :, None], 1.0, []
+    for j in range(8):
+        columns.append(chebyshev.chebval(u, series, tensor=False) * scale)
+        series = chebyshev.chebder(series, axis=0)
+        scale = scale * 2.0 / ((j + 1) * (b - a))
+    columns.append(centres)
+    return [tuple(row) for row in np.stack(columns, axis=-1).reshape(-1, 9).tolist()]
 
 
 @_shared(_check_dimension)

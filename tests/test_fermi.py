@@ -257,10 +257,16 @@ class TestBoundConstant:
 
     def test_values_unchanged(self):
         # bit for bit the values of scipy's bounded minimizer on the same scan
-        pins = [0.2797092449703108, 0.21068933579722168, 0.1665163004236115,
-                0.13600472823433174, 0.11399432606197853, 0.09755259187651566,
+        pins = [0.2797092449703108, 0.21068933579722168, 0.16651630042361157,
+                0.13600472823433177, 0.11399432606197851, 0.09755259187651566,
                 0.08490557760194938]
-        assert [bound_constant_C(d)[0] for d in range(3, 10)] == pins
+        values = [bound_constant_C(d)[0] for d in range(3, 10)]
+        assert values == pins
+        # the values read from the Chebyshev panels before the Taylor rows
+        panel_pins = [0.2797092449703108, 0.21068933579722168, 0.1665163004236115,
+                      0.13600472823433174, 0.11399432606197853, 0.09755259187651566,
+                      0.08490557760194938]
+        assert values == pytest.approx(panel_pins, rel=1e-13, abs=0.0)
 
 
 MINIMIZER_CASES = {
@@ -482,3 +488,56 @@ class TestResponseRatioProxy:
     def test_rejects_dimension_out_of_range(self):
         with pytest.raises(ConfigError):
             cached_ratio_proxy(2)
+
+
+def panel_read(proxy, t, i=None):
+    """The Chebyshev fit the proxy's rows are cut from, read by Clenshaw."""
+    if i is None:
+        i = min(int((t - proxy._t_lo) * proxy._inv_width), len(proxy._panels) - 1)
+    coef = tuple(proxy._panels[i].tolist())
+    return fermi._cheb_eval(coef, proxy._edges[i], proxy._edges[i + 1], t)
+
+
+def row_value(row, t):
+    x = t - row[-1]
+    return sum(p * x**j for j, p in enumerate(row[:-1]))
+
+
+class TestTaylorRows:
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_log_ratio_matches_panel_read(self, d):
+        proxy = cached_ratio_proxy(d)
+        ts = np.linspace(proxy._t_lo, proxy._t_top, 20003)[1:-1]
+        worst = max(abs(proxy.log_ratio(t) - panel_read(proxy, t)) for t in ts.tolist())
+        assert worst <= 2e-14
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_rows_meet_at_every_edge(self, d):
+        # inside a panel two neighbouring rows agree at their common edge; at a
+        # panel edge they inherit the fit's own jump there and add no more
+        proxy = cached_ratio_proxy(d)
+        rows = proxy._rows[:-1]
+        for k in range(1, len(rows)):
+            edge = 0.5 * (rows[k - 1][-1] + rows[k][-1])
+            jump = abs(row_value(rows[k], edge) - row_value(rows[k - 1], edge))
+            fit_jump = 0.0
+            if k % proxy._PIECES == 0:
+                i = k // proxy._PIECES
+                e = proxy._edges[i]
+                fit_jump = abs(panel_read(proxy, e, i) - panel_read(proxy, e, i - 1))
+            assert jump <= fit_jump + 2e-14
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_top_rounding_onto_last_index_is_served(self, d):
+        proxy = cached_ratio_proxy(d)
+        t = math.nextafter(proxy._t_top, 0.0)
+        assert int((t - proxy._t_lo) * proxy._inv_row) == len(proxy._rows) - 1
+        assert proxy.log_ratio(t) == pytest.approx(panel_read(proxy, t), rel=0.0, abs=2e-14)
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_log_ratio_is_a_float(self, d):
+        proxy = cached_ratio_proxy(d)
+        t_lo, t_hi = proxy.window
+        for t in (t_lo - 1.0, t_lo + 0.3, 0.0, t_hi - 0.1, t_hi + 5.0,
+                  proxy._t_top + 1.0, 800.0):
+            assert type(proxy.log_ratio(t)) is float

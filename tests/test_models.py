@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fermicloud import models
+from fermicloud import mass_of_density, models
 from fermicloud.fermi import bound_constant_C, cached_ratio_proxy, fermi_f, fermi_f_inverse
 from fermicloud.models import (
     GAP_MAJORANT_FORM,
@@ -207,6 +207,24 @@ class TestFullKindProxy:
             for z in map(float, [*dense, *wide]):
                 r = f(z)
                 assert r <= z and r / z <= 1.0, (model, z, r)
+
+    # mass_of_density (rho = 1, 1e4, 1e7) as the proxy gave it when log_ratio
+    # read its Chebyshev panels by Clenshaw, before the Taylor rows
+    MASS_PINS = {
+        (3, 1e-2): ("0x1.e73c7117274f1p+1", "0x1.a373130ed9cbfp+3", "0x1.8c4a6221417f8p+7"),
+        (3, 1e-4): ("0x1.e7372b2d6f0f2p+1", "0x1.7259823614fe7p+4", "0x1.c7f2ae6f55f87p+4"),
+        (5, 1e-2): ("0x1.3a5359d67a6d0p+2", "0x1.a427ab0fa71c4p+5", "0x1.a4cc7181e2ba8p+5"),
+        (5, 1e-4): ("0x1.3a5352d304d18p+2", "0x1.a430004797cf0p+5", "0x1.a51960fde1b74p+5"),
+        (9, 1e-2): ("0x1.93ce204de8cc4p+1", "0x1.daff12e583fc8p+5", "0x1.dafc3c8e2e3bdp+5"),
+        (9, 1e-4): ("0x1.93ce204db265ap+1", "0x1.daff11c17e00dp+5", "0x1.dafc3b6fb8c14p+5"),
+    }
+
+    @pytest.mark.parametrize("d, eta", sorted(MASS_PINS))
+    def test_masses_held_against_the_panel_read(self, d, eta):
+        model = ModelSpec.full_fd(d, eta)
+        for rho, pin in zip((1.0, 1e4, 1e7), self.MASS_PINS[d, eta]):
+            assert mass_of_density(model, rho) == pytest.approx(
+                float.fromhex(pin), rel=1e-12, abs=0.0)
 
 
 class TestGap:

@@ -1,4 +1,7 @@
-"""Start-up contract: no solve imports scipy; the midrange quadrature still does."""
+"""Start-up contract: no solve imports scipy; the midrange quadrature still does.
+
+A classical or simplified solve makes no fit, so it imports no ``numpy.polynomial``.
+"""
 
 import json
 import math
@@ -43,6 +46,33 @@ def test_no_solve_imports_scipy(tmp_path):
     assert code == 0
     assert out.stat().st_size > 0
     assert scipy_modules == []
+
+
+# The mb and sfd statistics for d = 3..9, then one mb phase run.
+NO_FIT_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+import fermicloud, fermicloud.cli
+from fermicloud import ModelSpec, R_value
+for d in range(3, 10):
+    R_value(ModelSpec.maxwell_boltzmann(d), 1.0)
+    R_value(ModelSpec.simplified_fd(d, 1e-2), 1.0)
+code = fermicloud.cli.main(["phase", "--kind", "mb", "--rho", "1", "--out", {out!r}])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "numpy.polynomial" or m.startswith("numpy.polynomial."))]))
+"""
+
+
+def test_classical_and_simplified_solves_import_no_fit(tmp_path):
+    out = tmp_path / "phase.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_FIT_SCRIPT.format(src=SRC, out=str(out))],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, fit_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert out.stat().st_size > 0
+    assert fit_modules == []
 
 
 @pytest.mark.parametrize("alpha, z", [(1.5, 2.0), (0.5, -5.0)])
