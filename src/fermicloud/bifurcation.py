@@ -7,11 +7,12 @@ log grid produces the bifurcation curve whose oscillation around the sink value
 refining the crossings quantifies that multiplicity.  At eta = 0 the field is
 autonomous, so the trajectory of rho is the rho = 1 orbit shifted by log(rho)/2
 in s, and one dense orbit carries the whole curve: M(rho) = sigma_d
-x_1(log(rho)/2).  The remaining operations measure how fast the degenerate
-families collapse onto the classical curve as the degeneracy parameter shrinks:
-sup gaps in scaled and plain coordinates, the empirical Gronwall constant, and
-direct residual checks of the bound and the difference system that drive the
-convergence argument.
+x_1(log(rho)/2).  At eta > 0 the grid is shot at once, as lanes of one lockstep
+solve with a step budget each, and a failed lane is shot again alone.  The
+remaining operations measure how fast the degenerate families collapse onto the
+classical curve as the degeneracy parameter shrinks: sup gaps in scaled and
+plain coordinates, the empirical Gronwall constant, and direct residual checks
+of the bound and the difference system that drive the convergence argument.
 
 All sups are taken over the shared uniform grid of :func:`comparison_grid`, so
 every reported number is reproducible bit for bit from the inputs.
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, _write_text, comparison_grid, initial_state, integrate_trajectory
+from .dynamics import (Trajectory, _shoot_lanes, _write_text, comparison_grid, initial_state,
+                       integrate_trajectory)
 from .models import ModelKind, ModelSpec, S_value, sigma_d
 from .numerics import (
     DEFAULT_CONFIG,
@@ -65,7 +67,8 @@ class MassCurve:
 
     ``points`` holds (rho, mass) pairs in strictly increasing rho order; only
     successful evaluations appear there.  Grid points whose integration failed
-    are kept in ``failures`` as (rho, reason) pairs so gaps stay visible.
+    are kept in ``failures`` as (rho, reason) pairs so gaps stay visible; at
+    eta > 0 the reason is that of a per-rho re-shoot of the failed lane.
     ``grid_policy`` describes how the grid was built and ``s_start`` records
     the launch point of a per-rho trajectory (the eta = 0 orbit starts no
     later than its equivalent for any rho), which root refinement reuses.
@@ -270,9 +273,9 @@ def mass_curve(
     At eta = 0 every grid point is read off one orbit (:func:`_classical_orbit`),
     kept as the curve's ``orbit``; its single leg spends one ``cfg.max_steps``
     budget over the whole grid, and a numeric error fails all points at once.
-    Otherwise each point is shot, and fails, on its own, with one budget per
-    shoot.  Failures go to
-    ``failures`` instead of aborting the scan.
+    Otherwise each point is one lane of a lockstep solve, with a budget of its
+    own and within 1e-13 of :func:`mass_of_density`, which shoots a failed lane
+    again; failures go to ``failures`` instead of aborting the scan.
     """
     if not (math.isfinite(rho_min) and math.isfinite(rho_max) and 0.0 < rho_min < rho_max):
         raise ConfigError(
@@ -286,21 +289,22 @@ def mass_curve(
     grid = np.logspace(math.log10(rho_min), math.log10(rho_max), n)
     points: list[tuple[float, float]] = []
     failures: list[tuple[float, str]] = []
-    orbit = None
-    if model.eta == 0.0:
-        try:
+    orbit, xs = None, []
+    try:
+        if model.eta == 0.0:
             orbit = _classical_orbit(model, grid[0], grid[-1], cfg, s_start)
-            masses = sigma_d(model.d) * orbit.sample(0.5 * np.log(grid))[0]
-            points = list(zip(grid.tolist(), masses.tolist()))
+            xs = orbit.sample(0.5 * np.log(grid))[0].tolist()
+        else:
+            xs = _shoot_lanes(model, grid.tolist(), s_start, 0.0, cfg)[0]
+    except NumericsError as exc:
+        failures = [(float(rho), f"{type(exc).__name__}: {exc}") for rho in grid]
+    sigma = sigma_d(model.d)
+    for rho, x in zip(grid.tolist(), xs):
+        try:  # a failed lane (x is NaN) is shot again, for the scalar path's typed failure
+            mass = sigma * x if x == x else mass_of_density(model, rho, cfg, s_start)
+            points.append((rho, mass))
         except NumericsError as exc:
-            failures = [(float(rho), f"{type(exc).__name__}: {exc}") for rho in grid]
-    else:
-        for rho in grid:
-            rho = float(rho)
-            try:
-                points.append((rho, mass_of_density(model, rho, cfg, s_start)))
-            except NumericsError as exc:
-                failures.append((rho, f"{type(exc).__name__}: {exc}"))
+            failures.append((rho, f"{type(exc).__name__}: {exc}"))
     policy = (
         f"log-spaced, {points_per_decade} points/decade on "
         f"[{rho_min:g}, {rho_max:g}], {n} points"

@@ -25,6 +25,11 @@ error of a log is the relative error of x or y, so one absolute tolerance
 serves both, out to the exponentially thin atmosphere of a degenerate
 profile; x and y are positive by construction.
 
+Vacuum tail: (b - a)' = b' - d expm1(b - a) <= d, so once an accepted state
+has b - a + d (s_end - s) < -50, e^{b-a} < e^-50 up to s_end and
+a(s_end) = a - d (s_end - s) within d (s_end - s) e^-50.  The mass-curve
+lanes (``_shoot_lanes``) retire there in that closed form.
+
 ``radial_Q_integrate`` solves the equivalent second-order radial equation
 
     Q'' = (d - 1) Q'/r - Q R(r^{1-d} Q')
@@ -54,6 +59,8 @@ from .numerics import (
     ConfigError,
     DomainError,
     NumericsConfig,
+    _initial_step,
+    _ode_lanes,
     ode_integrate,
 )
 
@@ -92,6 +99,10 @@ _EXP_CAP = 600.0
 # Relative term of the error control on the normalized logs; their absolute
 # tolerance is ``ode_rel_tol``.
 _LOG_REL_TOL = 1e-13
+# Lanes per batch of _shoot_lanes (bounded memory), and the b - a + d (s_end - s)
+# below which a lane retires (Vacuum tail, in the module docstring).
+_LANE_CHUNK = 1024
+_VACUUM_GAP = -50.0
 
 # Half-width for centered differences on dense output: h^2 truncation and
 # interpolant noise both land near 1e-7 relative here.
@@ -353,6 +364,39 @@ def integrate_trajectory(
         abs_tol=cfg.ode_rel_tol,
     )
     return Trajectory(model, rho, path)
+
+
+def _shoot_lanes(model: ModelSpec, rhos, s_start: float, s_end: float, cfg: NumericsConfig):
+    """x(s_end) of the shot of every rho (eta > 0), as lanes of :func:`numerics._ode_lanes`.
+
+    The field, tolerances and first step of :func:`integrate_trajectory`, at most
+    ``_LANE_CHUNK`` lanes per batch; a lane may retire into the vacuum closed form.
+    Returns ``(x, lane_s_end, n_accepted, n_rejected)``, x NaN where a lane failed.
+    """
+    initial_state(model.d, 1.0, s_start)  # the per-rho launch check: s_start <= -10
+    d, cap, stats, atol = model.d, _EXP_CAP, _statistics(model), cfg.ode_rel_tol
+
+    def field(s, u, k, c):
+        a, b = u
+        e = a + 2.0 * s + k + stats.log_ratio_lanes(b + c)
+        return np.array((d * np.expm1(np.minimum(b - a, cap)), -np.exp(np.minimum(e, cap))))
+
+    retire = lambda s, u: u[1] - u[0] + d * (s_end - s) < _VACUUM_GAP
+
+    def batch(chunk):
+        h = [_initial_step(f, s_start, [0.0, 0.0], f(s_start, [0.0, 0.0]), s_end, _LOG_REL_TOL,
+                           [atol, atol]) for f in (_shooting_field(model, r) for r in chunk)]
+        k = np.array([math.log(r / d) for r in chunk])
+        c = np.array([stats.log_shift + math.log(r) for r in chunk])
+        return _ode_lanes(field, s_start, s_end, np.zeros((2, len(chunk))), np.array(h), (k, c),
+                          _LOG_REL_TOL, atol, cfg.max_steps, retire)
+
+    t_end, u_end, n_acc, n_rej, failed = (np.concatenate(v, axis=-1) for v in zip(
+        *(batch(rhos[i:i + _LANE_CHUNK]) for i in range(0, len(rhos), _LANE_CHUNK))))
+    a_end = (u_end[0] - d * (s_end - t_end)).tolist()
+    x = [math.nan if bad else r / d * math.exp(v + 2.0 * s_end)
+         for r, v, bad in zip(rhos, a_end, failed.tolist())]
+    return x, t_end, n_acc, n_rej
 
 
 def lyapunov(d: int, x: float, y: float) -> float:

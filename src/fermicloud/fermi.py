@@ -510,6 +510,9 @@ class ResponseRatioProxy:
         # A t just below the top may round onto the index past the last row.
         self._rows.append(self._rows[-1])
         self._inv_row = self._PIECES * self._inv_width
+        # Filled by the first lane read.  A cached_property would materialize __dict__,
+        # which made every later log_ratio call about 8% slower (CPython 3.11).
+        self._lane_rows = None
 
     def _degenerate(self, w: float) -> float:
         v = self._inner.inverse(w)
@@ -526,6 +529,20 @@ class ResponseRatioProxy:
         p0, p1, p2, p3, p4, p5, p6, p7, centre = self._rows[int((t - self._t_lo) * self._inv_row)]
         x = t - centre
         return p0 + x * (p1 + x * (p2 + x * (p3 + x * (p4 + x * (p5 + x * (p6 + x * p7))))))
+
+    def log_ratio_lanes(self, t: np.ndarray) -> np.ndarray:
+        """:meth:`log_ratio` of each entry of a float array, bit for bit: the same row and sum."""
+        if self._lane_rows is None:  # (9, rows), built on the first lane read
+            self._lane_rows = np.array(self._rows).T.copy()
+        lo, top = self._t_lo, self._t_top
+        tc = np.minimum(np.maximum(t, lo), top)
+        *p, centre = self._lane_rows.take(((tc - lo) * self._inv_row).astype(np.intp), axis=1)
+        x = tc - centre
+        g = np.where(t > lo, p[0] + x * (p[1] + x * (p[2] + x * (p[3] + x * (p[4] + x * (
+            p[5] + x * (p[6] + x * p[7])))))), 0.0)
+        for i in np.flatnonzero(t >= top).tolist():
+            g[i] = self.log_ratio(float(t[i]))
+        return g
 
     def ratio(self, w: float) -> float:
         """``R(z)/z`` at ``w = 2 z / mu >= 0``."""

@@ -44,6 +44,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from . import fermi
 from .numerics import ConfigError, DomainError
 
@@ -187,6 +189,11 @@ class _SimplifiedFd:
         q = self.p * t
         return -math.log1p(math.exp(q)) if q < 40.0 else -q
 
+    def log_ratio_lanes(self, t: np.ndarray) -> np.ndarray:
+        """:meth:`log_ratio` of every entry of a float array, with numpy's log1p and exp."""
+        q = self.p * t
+        return np.where(q < 40.0, -np.log1p(np.exp(np.minimum(q, 40.0))), -q)
+
     def R(self, z: float) -> float:
         return z / (1.0 + self.eta * z ** self.p)
 
@@ -229,6 +236,7 @@ class _FullFd:
         self._ratio = self.proxy.ratio
         self._wscale = 2.0 / self.mu
         self.log_ratio = self.proxy.log_ratio  # at t = log w = log z + log_shift
+        self.log_ratio_lanes = self.proxy.log_ratio_lanes
         self.log_shift = math.log(self._wscale)
         self._w_lo = math.exp(self.proxy.window[0])
         self._s_lead = 2.0 ** (-0.5 * model.d) / math.gamma(0.5 * model.d)

@@ -9,7 +9,9 @@ Dormand-Prince 5(4) pair with Shampine's quartic dense output, stepped in
 plain Python floats: every system here is planar (two components), where
 array arithmetic costs far more than the vector field.  Its tableau,
 initial-step heuristic, error norm and step controller are those of scipy's
-``RK45``, so it takes the same steps.
+``RK45``, so it takes the same steps.  A second loop, ``_ode_lanes``, reads
+the same tableau and controller to advance many planar solves as lanes of
+numpy arrays in lockstep, endpoints only.
 
 Every routine is a pure function of its inputs: no hidden state, no
 randomness, so repeated calls with identical arguments give bit-identical
@@ -580,3 +582,53 @@ def ode_integrate(
         states.append(y)
         stages.append(step)
     return OdePath(ts, states, stages, nfev, n_rejected)
+
+
+def _ode_lanes(field, t0, t1, y, h_abs, params, rtol, atol, max_steps, retire):
+    """Endpoints of n planar solves ``u' = field(t, u, *params)``, ``u`` a (2, n) array.
+
+    Lane i starts at ``y[:, i]`` with first step ``h_abs[i]``, reads entry i of each
+    of ``params`` and takes :func:`ode_integrate`'s steps in its order of operations,
+    so its bits do not depend on its batch.  It leaves at ``t1``, at an accepted step
+    where ``retire(t, u)`` holds, or where the scalar solve raises.  Returns
+    ``(t_end, u_end, n_accepted, n_rejected, failed)``, counted as in :class:`OdePath`.
+    """
+    n, f = y.shape[1], field(t0, y, *params)
+    t, lanes, out = np.full(n, float(t0)), np.arange(n), np.empty((6, n))
+    acc, rej, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    while lanes.size:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        fail = h_abs < min_step
+        t_new = np.minimum(t + h_abs, t1)
+        h = t_new - t
+        k1 = f
+        k2 = field(t + _C2 * h, y + (_A21 * k1) * h, *params)
+        k3 = field(t + _C3 * h, y + (_A31 * k1 + _A32 * k2) * h, *params)
+        k4 = field(t + _C4 * h, y + (_A41 * k1 + _A42 * k2 + _A43 * k3) * h, *params)
+        k5 = field(t + _C5 * h, y + (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4) * h, *params)
+        k6 = field(t + h, y + (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5) * h,
+                   *params)
+        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = field(t + h, y_new, *params)
+        r = (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7) * h / (
+            atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+        error_norm = np.sqrt(r[0] * r[0] + r[1] * r[1]) / _ROOT_2
+        ok, zero = error_norm < 1.0, error_norm == 0.0
+        shrink = _SAFETY * np.where(zero, 1.0, error_norm) ** _ERROR_EXPONENT
+        grow = np.where(zero, _MAX_FACTOR, np.minimum(_MAX_FACTOR, shrink))
+        h_abs = h * np.where(ok, np.where(rejected, np.minimum(1.0, grow), grow),
+                             np.fmax(_MIN_FACTOR, shrink))
+        acc, rej, rejected = acc + ok, rej + ~ok, ~ok
+        t, y, f = np.where(ok, t_new, t), np.where(ok, y_new, y), np.where(ok, k7, f)
+        fail |= ok & (np.abs(y_new).max(axis=0) >= _HUGE_STATE)
+        live = (t < t1) & ~(ok & retire(t, y))
+        fail |= live & (acc == max_steps)
+        done = fail | ~live
+        if done.any():
+            out[:, lanes[done]] = [t[done], *y[:, done], acc[done], rej[done], fail[done]]
+            keep = ~done
+            lanes, t, h_abs, rejected, acc, rej = (
+                v[keep] for v in (lanes, t, h_abs, rejected, acc, rej))
+            y, f, params = y[:, keep], f[:, keep], [p[keep] for p in params]
+    return out[0], out[1:3], out[3].astype(int), out[4].astype(int), out[5].astype(bool)

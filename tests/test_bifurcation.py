@@ -26,8 +26,9 @@ from fermicloud import (
     radial_Q_integrate,
     sigma_d,
 )
-from fermicloud import bifurcation
+from fermicloud import bifurcation, dynamics, models
 from fermicloud.bifurcation import MASS_CURVE_CSV_HEADER
+from fermicloud.dynamics import _shoot_lanes
 from fermicloud.numerics import DEFAULT_CONFIG, ConfigError, NumericsConfig, NumericsError
 
 MB3 = ModelSpec.maxwell_boltzmann(3)
@@ -112,6 +113,13 @@ class TestMassOfDensity:
                 q1, _ = radial_Q_integrate(model, rho)
                 if not abs(q1 - x0) <= 1e-6 * x0:
                     bad.append((eta, rho, x0, q1))
+            # the 21 rho as lanes of one lockstep solve match the scalar shots
+            rhos = np.logspace(-2.0, 8.0, 21).tolist()
+            lanes = _shoot_lanes(model, rhos, -20.0, 0.0, DEFAULT_CONFIG)[0]
+            for rho, x in zip(rhos, lanes):
+                x_ref = integrate_trajectory(model, rho).end_state.x
+                if not abs(x - x_ref) <= 1e-13 * x_ref:
+                    bad.append((eta, rho, x, x_ref))
         assert bad == []
 
 
@@ -136,9 +144,10 @@ class TestMassCurve:
         np.testing.assert_allclose(small_curve.masses, per_rho, rtol=1e-9, atol=0.0)
 
     def test_degenerate_masses_equal_pointwise_evaluation(self, sfd_curve):
-        # eta > 0 shoots every grid point on its own
+        # eta > 0 shoots the grid as lanes of one lockstep solve: the same
+        # steps as each per-rho shot, with numpy's exp in place of math's
         per_rho = [mass_of_density(SFD, float(rho)) for rho in sfd_curve.rhos]
-        assert sfd_curve.masses.tolist() == per_rho
+        np.testing.assert_allclose(sfd_curve.masses, per_rho, rtol=1e-13, atol=0.0)
 
     def test_deterministic(self):
         a = mass_curve(MB3, 1.0, 10.0, points_per_decade=4)
@@ -240,6 +249,67 @@ class TestMassCurve:
     def test_constructor_rejects_bad_points(self, points):
         with pytest.raises(ConfigError):
             MassCurve(MB3, points, "manual")
+
+
+class TestLanes:
+    """The eta > 0 curve shoots its grid as lanes of one lockstep solve."""
+
+    FFD = ModelSpec.full_fd(3, 1e-2)
+    GRID = np.logspace(-2.0, 8.0, 81).tolist()
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    def test_sfd_lane_read_matches_float_read(self, d):
+        # numpy's exp and log1p against math's: one ulp of g at most
+        stats = models._statistics(ModelSpec.simplified_fd(d, 1e-2))
+        t = np.linspace(-1000.0, 1000.0, 20001)
+        expected = [stats.log_ratio(v) for v in t.tolist()]
+        np.testing.assert_allclose(stats.log_ratio_lanes(t), expected, rtol=4e-16, atol=0.0)
+
+    def test_lane_bits_do_not_depend_on_the_batch(self):
+        rho = self.GRID[37]
+        alone = _shoot_lanes(self.FFD, [rho], -20.0, 0.0, DEFAULT_CONFIG)[0][0]
+        curve = dict(mass_curve(self.FFD, 1e-2, 1e8, points_per_decade=8).points)
+        big = np.logspace(-2.0, 8.0, 641).tolist()
+        big.insert(100, rho)
+        in_batch = _shoot_lanes(self.FFD, big, -20.0, 0.0, DEFAULT_CONFIG)[0][100]
+        assert curve[rho] == sigma_d(3) * alone
+        assert in_batch == alone
+
+    def test_step_counts_equal_the_scalar_shots(self):
+        # a lane that does not retire takes exactly the steps of its shot
+        _, s_end, n_acc, n_rej = _shoot_lanes(self.FFD, self.GRID, -20.0, 0.0, DEFAULT_CONFIG)
+        checked = 0
+        for rho, end, acc, rej in zip(self.GRID, s_end.tolist(), n_acc.tolist(), n_rej.tolist()):
+            if end == 0.0:
+                path = integrate_trajectory(self.FFD, rho)._path
+                assert (acc, rej) == (path.n_accepted, path.n_rejected)
+                checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("rho", [1e7, 1e8])
+    def test_vacuum_retirement_keeps_the_mass(self, rho):
+        x, s_end, _, _ = _shoot_lanes(self.FFD, [rho], -20.0, 0.0, DEFAULT_CONFIG)
+        assert s_end[0] < 0.0
+        assert x[0] == pytest.approx(integrate_trajectory(self.FFD, rho).end_state.x, rel=1e-13)
+
+    def test_starved_curve_fails_like_the_scalar_path(self):
+        starved = dataclasses.replace(DEFAULT_CONFIG, max_steps=40)
+        curve = mass_curve(SFD, 1.0, 100.0, points_per_decade=4, cfg=starved)
+        expected = []
+        for rho in curve.rhos.tolist() + [r for r, _ in curve.failures]:
+            try:
+                mass_of_density(SFD, rho, starved)
+            except NumericsError as exc:
+                expected.append((rho, f"{type(exc).__name__}: {exc}"))
+        assert curve.failures
+        assert sorted(curve.failures) == sorted(expected)
+        assert all(reason.startswith("StepLimitError") for _, reason in curve.failures)
+
+    def test_chunks_do_not_change_the_curve(self, monkeypatch):
+        assert dynamics._LANE_CHUNK == 1024
+        whole = mass_curve(SFD, 1.0, 100.0, points_per_decade=8)
+        monkeypatch.setattr(dynamics, "_LANE_CHUNK", 5)
+        assert mass_curve(SFD, 1.0, 100.0, points_per_decade=8) == whole
 
 
 class TestCountSolutions:

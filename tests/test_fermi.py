@@ -480,6 +480,16 @@ class TestResponseRatioProxy:
         assert proxy.log_ratio(-1e15) == 0.0
 
     @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_lane_read_equals_float_read_bit_for_bit(self, d):
+        # the mass-curve lanes read g for every lane at once: the same row
+        # index and Horner sum as log_ratio, below the window and past the top
+        proxy = cached_ratio_proxy(d)
+        t = np.linspace(proxy.window[0] - 5.0, proxy._t_top + 5.0, 20001)
+        t = np.concatenate([t, [-1e300, proxy.window[0], proxy._t_top, 800.0, 1e300]])
+        lanes = proxy.log_ratio_lanes(t)
+        assert lanes.tolist() == [proxy.log_ratio(v) for v in t.tolist()]
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
     def test_identity_below_window(self, d):
         proxy = cached_ratio_proxy(d)
         for w in (0.0, 5e-324, 1e-200, math.exp(proxy.window[0])):
